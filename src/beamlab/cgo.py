@@ -21,12 +21,13 @@ from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 from .cylinder import conjugated_solve
 from .errors import UnsupportedOrder
+from .geometry import rk4_sweep
 
 __all__ = [
     "PhaseJet", "AmplitudeJet", "CgoSolution",
     "build_phase", "build_amplitude", "quasimode_eval", "assemble_cgo",
     "dbar_solve", "smooth_cutoff", "quasimode_lp_norm",
-    "conjugated_defect_norm", "eikonal_defect_exact",
+    "conjugated_defect_norm", "eikonal_defect_exact", "tube_grid",
 ]
 
 
@@ -253,20 +254,6 @@ class PhaseJet:
     def m(self):
         return self.jet.m
 
-    def to_json(self, path=None):
-        """Regression snapshot of the coefficient functions."""
-        import json
-
-        payload = {"N": self.N, "y1": self.y1.tolist(),
-                   "coeffs": {"_".join(map(str, a)):
-                              [c.real.tolist(), c.imag.tolist()]
-                              for a, c in sorted(self.jet.coeffs.items())}}
-        text = json.dumps(payload)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
     def theta(self, t, ypp):
         return self.jet.eval_at(self.y1, t, ypp)
 
@@ -327,32 +314,11 @@ def _coupling_matrix(H, monos_k):
     return B
 
 
-def _transport_sweep(y1, Bfun, Sfun, i0, forward_only=False):
+def _transport_sweep(y1, Bfun, Sfun, i0):
     """RK4 for v' = -B v + S with zero data at node i0."""
-    n = len(y1)
-    nk = np.atleast_1d(Sfun(y1[0])).shape[0]
-    out = np.zeros((n, nk), dtype=complex)
-
-    def rhs(t, v):
-        return -Bfun(t) @ v + Sfun(t)
-
-    def sweep(rng):
-        v = out[i0].copy()
-        prev = y1[i0]
-        for i in rng:
-            h = y1[i] - prev
-            k1 = rhs(prev, v)
-            k2 = rhs(prev + h / 2, v + h / 2 * k1)
-            k3 = rhs(prev + h / 2, v + h / 2 * k2)
-            k4 = rhs(prev + h, v + h * k3)
-            v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            out[i] = v
-            prev = y1[i]
-
-    sweep(range(i0 + 1, n))
-    if not forward_only:
-        sweep(range(i0 - 1, -1, -1))
-    return out
+    v0 = np.zeros(np.atleast_1d(Sfun(y1[0])).shape[0], dtype=complex)
+    return rk4_sweep(lambda t, y: (-Bfun(t) @ y[0] + Sfun(t),), y1, (v0,),
+                     i0)[0]
 
 
 def build_phase(path, Y, N=2, ny1=321, tau0=None):
@@ -514,20 +480,6 @@ class AmplitudeJet:
     def v0_eval(self, t, ypp):
         return self.v0.eval_at(self.y1, t, ypp)
 
-    def to_json(self, path=None):
-        """Regression snapshot of the principal coefficient functions."""
-        import json
-
-        payload = {"N": self.N, "delta": self.delta, "y1": self.y1.tolist(),
-                   "coeffs": {"_".join(map(str, a)):
-                              [c.real.tolist(), c.imag.tolist()]
-                              for a, c in sorted(self.v0.coeffs.items())}}
-        text = json.dumps(payload)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
     def interp(self, data, x0, t):
         if data is None:
             return np.zeros(np.broadcast(np.asarray(x0), np.asarray(t)).shape,
@@ -582,7 +534,7 @@ def build_amplitude(path, phase, Y, V1=None, N_amp=1, x0_grid=None,
             + 0.5 * trH[:, None, None] * np.eye(len(monos_j))[None]
         Bs = CubicSpline(y1, B, axis=0)
         Ss = CubicSpline(y1, 0.5j * S, axis=0)
-        vj = _transport_sweep(y1, Bs, Ss, 0, forward_only=True)
+        vj = _transport_sweep(y1, Bs, Ss, 0)
         for ia, a in enumerate(monos_j):
             v0.coeffs[a] = vj[:, ia]
 
@@ -712,15 +664,8 @@ class TubeDefect:
             self._v1 = None
 
         self.V1 = V1
-        if V1 is not None and path is not None:
-            base = path.point(0.0)
-            vel = path.velocity(0.0)
-            frame = path.frame_at(0.0)
-            pts = (base[None, :] + self.t.reshape(-1, 1) * vel[None, :]
-                   + self.ypp.reshape(-1, m) @ frame.T)
-            self._pts = pts.reshape(self.t.shape + (len(base),))
-        else:
-            self._pts = None
+        self._pts = (_flat_tube_points(path, self.t, self.ypp)
+                     if V1 is not None and path is not None else None)
 
     def _interp_v1(self, which, x0):
         data = self._v1[self.sign][which]
@@ -783,35 +728,50 @@ class TubeDefect:
             else np.exp(-1j * rr * theta)
         return np.exp(1j * rho.imag * x0) * ph * D
 
+
+def tube_grid(phase, width, ny1, ns):
+    """Axis samples and offset grids over the tube around the phase's axis.
+
+    ``width`` is the offset half-width, a scalar or one value per axis
+    sample; each offset axis carries ``ns`` points on [-width, width].
+    Returns ``(y1, T, ypp, wgt)``: the ``ny1`` axis samples, the axis
+    coordinate (ny1, P) and offsets (ny1, P, m) of every grid point, and the
+    offset cell volume per axis sample.
+    """
+    y1 = np.linspace(phase.y1[0], phase.y1[-1], ny1)
+    width = np.broadcast_to(np.asarray(width, dtype=float), (ny1,))
+    m = phase.m
+    s = np.linspace(-1.0, 1.0, ns)
+    if m == 1:
+        sm = s[:, None]
+    else:
+        sm = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1).reshape(-1, 2)
+    ypp = width[:, None, None] * sm[None]
+    wgt = width ** m * (s[1] - s[0]) ** m
+    T = np.broadcast_to(y1[:, None], ypp.shape[:2]).copy()
+    return y1, T, ypp, wgt
+
+
 def quasimode_lp_norm(phase, amp, rho, sign, chart, fermi=None, p=2,
                       ny1=200, nypp=121, nx0=33):
     """L^p norm over I x tube with the true volume element."""
     a0, b0 = chart.interval
-    y1 = np.linspace(phase.y1[0], phase.y1[-1], ny1)
-    m = phase.m
-    s = np.linspace(-amp.delta, amp.delta, nypp)
-    if m == 1:
-        ypp = s[:, None]
-    else:
-        ypp = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1).reshape(-1, 2)
+    y1, T, ypp, wgt = tube_grid(phase, amp.delta, ny1, nypp)
     x0 = np.linspace(a0, b0, nx0)
-    T = np.broadcast_to(y1[:, None], (ny1, ypp.shape[0]))
-    Yp = np.broadcast_to(ypp[None], (ny1,) + ypp.shape)
     vals = quasimode_eval(phase, amp, rho, sign,
-                          x0[:, None, None], T[None], Yp[None])
+                          x0[:, None, None], T[None], ypp[None])
     if fermi is not None and not chart.metric.is_flat:
         vol = np.empty(T.shape)
         for i, tv in enumerate(y1):
-            for j in range(ypp.shape[0]):
-                g = fermi.pullback_metric(tv, ypp[j])
+            for j in range(T.shape[1]):
+                g = fermi.pullback_metric(tv, ypp[i, j])
                 vol[i, j] = math.sqrt(max(np.linalg.det(g), 0.0))
     else:
         vol = np.ones(T.shape)
     dy1 = y1[1] - y1[0]
-    dypp = (s[1] - s[0]) ** m
     dx0 = x0[1] - x0[0]
-    return float((np.sum(np.abs(vals) ** p * vol[None])
-                  * dx0 * dy1 * dypp) ** (1.0 / p))
+    return float((np.sum(np.abs(vals) ** p * (vol * wgt[:, None])[None])
+                  * dx0 * dy1) ** (1.0 / p))
 
 
 def conjugated_defect_norm(phase, amp, rho, sign, chart, V1=None, path=None,
@@ -820,25 +780,16 @@ def conjugated_defect_norm(phase, amp, rho, sign, chart, V1=None, path=None,
     if not chart.metric.is_flat:
         raise UnsupportedOrder("defect evaluation is exact on flat charts only")
     a0, b0 = chart.interval
-    y1 = np.linspace(phase.y1[0], phase.y1[-1], ny1)
-    m = phase.m
-    s = np.linspace(-amp.delta, amp.delta, nypp)
-    if m == 1:
-        ypp = s[:, None]
-    else:
-        ypp = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1).reshape(-1, 2)
-    T = np.broadcast_to(y1[:, None], (ny1, ypp.shape[0])).copy()
-    Yp = np.broadcast_to(ypp[None], (ny1,) + ypp.shape).copy()
-    defect = TubeDefect(phase, amp, sign, T, Yp, V1=V1, path=path)
+    y1, T, ypp, wgt = tube_grid(phase, amp.delta, ny1, nypp)
+    defect = TubeDefect(phase, amp, sign, T, ypp, V1=V1, path=path)
     x0 = np.linspace(a0, b0, nx0)
     total = 0.0
     for x in x0:
         vals = defect.eval(np.full(T.shape, x), rho)
-        total += np.sum(np.abs(vals) ** 2)
+        total += np.sum(np.abs(vals) ** 2 * wgt[:, None])
     dy1 = y1[1] - y1[0]
-    dypp = (s[1] - s[0]) ** m
     dx0 = x0[1] - x0[0]
-    return math.sqrt(total * dx0 * dy1 * dypp)
+    return math.sqrt(total * dx0 * dy1)
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +816,16 @@ def _flat_tube_coords(path, XP):
     t = diff @ vel
     ypp = diff @ frame
     return t, ypp
+
+
+def _flat_tube_points(path, t, ypp):
+    """Chart points at axis coordinates ``t`` and offsets ``ypp``; the
+    inverse of ``_flat_tube_coords``."""
+    base = path.point(0.0)
+    vel = path.velocity(0.0)
+    frame = path.frame_at(0.0)
+    return (base + t[..., None] * vel
+            + np.einsum("...m,dm->...d", ypp, frame))
 
 
 def _axis_taper(path, phase, t):

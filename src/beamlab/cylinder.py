@@ -10,7 +10,6 @@ its 1/lambda factor.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,17 +188,6 @@ class SolveReport:
     modes: int
     iterations: int = 0
     discarded_energy: float = 0.0
-
-    def to_json(self, path=None):
-        payload = {"lambda": self.lam, "residual_l2": self.residual_l2,
-                   "norm_ratio": self.norm_ratio, "modes": self.modes,
-                   "iterations": self.iterations,
-                   "discarded_energy": self.discarded_energy}
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 def _free_solve(Fw, grid, lam, basis, margin, energy_cut, keep=None):

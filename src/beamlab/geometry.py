@@ -23,7 +23,7 @@ from .errors import (ConfigInvalid, DegenerateBasis, NonUnitSpeed,
 __all__ = [
     "ConformalMetric", "CtaChart", "GeodesicPath", "FermiChart",
     "make_chart", "chart_from_config", "trace_geodesic", "parallel_frame",
-    "conformal_reduce", "product_laplacian",
+    "conformal_reduce", "product_laplacian", "rk4_step", "rk4_sweep",
 ]
 
 
@@ -246,43 +246,54 @@ def chart_from_config(cfg):
 # geodesic integration
 # ---------------------------------------------------------------------------
 
-def _geo_rhs(metric, x, v):
-    gam = metric.christoffel(x)
-    acc = -np.einsum("...kij,...i,...j->...k", gam, v, v)
-    return v, acc
+def rk4_step(f, t, y, h):
+    """One classical Runge-Kutta step of ``y' = f(t, y)`` from t to t + h.
+
+    ``y`` is a tuple of arrays and ``f`` returns a tuple of the same shapes;
+    every array may carry leading batch axes.
+    """
+    k1 = f(t, y)
+    k2 = f(t + h / 2, tuple(a + h / 2 * k for a, k in zip(y, k1)))
+    k3 = f(t + h / 2, tuple(a + h / 2 * k for a, k in zip(y, k2)))
+    k4 = f(t + h, tuple(a + h * k for a, k in zip(y, k3)))
+    return tuple(a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
 
 
-def _rk4_step(metric, x, v, h):
-    k1x, k1v = _geo_rhs(metric, x, v)
-    k2x, k2v = _geo_rhs(metric, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-    k3x, k3v = _geo_rhs(metric, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-    k4x, k4v = _geo_rhs(metric, x + h * k3x, v + h * k3v)
-    xn = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-    vn = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return xn, vn
+def rk4_sweep(f, t, y0, i0, t0=None):
+    """RK4 over the nodes ``t``, node to node outward from node ``i0``.
+
+    ``y0`` is the state tuple at ``t0`` (default ``t[i0]``); when ``t0`` is
+    not that node, a partial step carries it there first.  Returns one array
+    per state component with the node axis first.
+    """
+    y = tuple(np.asarray(a) for a in y0)
+    if t0 is not None and t0 != t[i0]:
+        y = rk4_step(f, t0, y, t[i0] - t0)
+    out = tuple(np.empty((len(t),) + a.shape, dtype=a.dtype) for a in y)
+    for o, a in zip(out, y):
+        o[i0] = a
+    for step in (1, -1):
+        yy = y
+        for i in range(i0 + step, len(t) if step > 0 else -1, step):
+            yy = rk4_step(f, t[i - step], yy, t[i] - t[i - step])
+            for o, a in zip(out, yy):
+                o[i] = a
+    return out
 
 
-def _transport_rhs(metric, x, v, e):
-    # e: (..., d, m) columns transported along (x, v)
-    gam = metric.christoffel(x)
-    return -np.einsum("...kij,...i,...jm->...km", gam, v, e)
-
-
-def _rk4_step_frame(metric, x, v, e, h):
-    """One step of the coupled geodesic + parallel transport system."""
-    def rhs(xx, vv, ee):
-        kx, kv = _geo_rhs(metric, xx, vv)
-        ke = _transport_rhs(metric, xx, vv, ee)
-        return kx, kv, ke
-
-    k1 = rhs(x, v, e)
-    k2 = rhs(x + 0.5 * h * k1[0], v + 0.5 * h * k1[1], e + 0.5 * h * k1[2])
-    k3 = rhs(x + 0.5 * h * k2[0], v + 0.5 * h * k2[1], e + 0.5 * h * k2[2])
-    k4 = rhs(x + h * k3[0], v + h * k3[1], e + h * k3[2])
-    xn = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    vn = v + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    en = e + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return xn, vn, en
+def _geodesic_rhs(metric):
+    """Right-hand side of the geodesic equation for the state ``(x, v)`` or,
+    with a third component ``e`` of shape (..., d, k), of the geodesic
+    together with the parallel transport of the columns of ``e``."""
+    def f(_, y):
+        x, v = y[0], y[1]
+        gam = metric.christoffel(x)
+        acc = -np.einsum("...kij,...i,...j->...k", gam, v, v)
+        if len(y) == 2:
+            return v, acc
+        return v, acc, -np.einsum("...kij,...i,...jm->...km", gam, v, y[2])
+    return f
 
 
 @dataclass
@@ -353,16 +364,16 @@ def _orthonormal_complement(metric, x, theta):
 
 def _find_exit(chart, x0, v0, h, max_length):
     """Arc length to the boundary along (x0, v0), refined by bisection."""
-    metric = chart.metric
+    f = _geodesic_rhs(chart.metric)
     x, v = x0.copy(), v0.copy()
     t = 0.0
     while t < max_length:
-        xn, vn = _rk4_step(metric, x, v, h)
+        xn, vn = rk4_step(f, 0.0, (x, v), h)
         if chart.boundary_defect(xn) < 0.0:
             lo, hi = 0.0, h
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                xm, _ = _rk4_step(metric, x, v, mid)
+                xm, _ = rk4_step(f, 0.0, (x, v), mid)
                 if chart.boundary_defect(xm) < 0.0:
                     hi = mid
                 else:
@@ -395,26 +406,13 @@ def trace_geodesic(chart, x, theta, h=1e-3, margin=None, max_length=50.0):
 
     e0 = _orthonormal_complement(metric, x, theta)
 
-    def sweep(direction, t_end):
-        n = max(2, int(math.ceil(abs(t_end) / h)) + 1)
-        ts = np.linspace(0.0, abs(t_end), n)
-        hstep = ts[1] - ts[0]
-        xs = np.empty((n, metric.dim))
-        vs = np.empty((n, metric.dim))
-        es = np.empty((n, metric.dim, metric.dim - 1))
-        xx, vv, ee = x.copy(), direction * theta.copy(), e0.copy()
-        xs[0], vs[0], es[0] = xx, vv, ee
-        for i in range(1, n):
-            xx, vv, ee = _rk4_step_frame(metric, xx, vv, ee, hstep)
-            xs[i], vs[i], es[i] = xx, vv, ee
-        return direction * ts, xs, direction * vs, es
+    def nodes(t_end):
+        return np.linspace(0.0, t_end, max(2, int(math.ceil(t_end / h)) + 1))
 
-    tb, xb, vb, eb = sweep(-1.0, tau_minus - margin)
-    tf, xf, vf, ef = sweep(+1.0, tau_plus + margin)
-    t = np.concatenate([tb[::-1], tf[1:]])
-    xs = np.concatenate([xb[::-1], xf[1:]])
-    vs = np.concatenate([vb[::-1], vf[1:]])
-    es = np.concatenate([eb[::-1], ef[1:]])
+    tb = nodes(margin - tau_minus)
+    t = np.concatenate([-tb[::-1], nodes(tau_plus + margin)[1:]])
+    xs, vs, es = rk4_sweep(_geodesic_rhs(metric), t, (x, theta, e0),
+                           len(tb) - 1)
 
     speeds = metric.norm(xs, vs)
     defect = float(np.max(np.abs(speeds - 1.0)))
@@ -442,52 +440,36 @@ def parallel_frame(path, basis):
             raise DegenerateBasis("frame vector not orthogonal to the velocity")
 
     i0 = int(np.argmin(np.abs(path.t)))
-    out = np.empty((len(path.t), metric.dim, basis.shape[1]))
-    out[i0] = basis
-    ee = basis.copy()
-    for i in range(i0 + 1, len(path.t)):
-        hstep = path.t[i] - path.t[i - 1]
-        _, _, ee = _rk4_step_frame(metric, path.x[i - 1], path.v[i - 1], ee, hstep)
-        out[i] = ee
-    ee = basis.copy()
-    for i in range(i0 - 1, -1, -1):
-        hstep = path.t[i] - path.t[i + 1]
-        _, _, ee = _rk4_step_frame(metric, path.x[i + 1], path.v[i + 1], ee, hstep)
-        out[i] = ee
-    return out
+    y0 = (path.x[i0], path.v[i0], basis)
+    return rk4_sweep(_geodesic_rhs(metric), path.t, y0, i0)[2]
 
 
 # ---------------------------------------------------------------------------
 # variational integration (differential of the exponential map)
 # ---------------------------------------------------------------------------
 
-def _var_rhs(metric, x, v, J, Jd):
-    gam = metric.christoffel(x)
-    dgam = metric.dchristoffel(x)
-    acc = -np.einsum("...kij,...i,...j->...k", gam, v, v)
-    Jacc = (-np.einsum("...lkij,...lm,...i,...j->...km", dgam, J, v, v)
-            - 2.0 * np.einsum("...kij,...i,...jm->...km", gam, v, Jd))
-    return v, acc, Jd, Jacc
+# RK4 steps of the exponential map over its parameter interval [0, 1]
+FERMI_STEPS = 32
 
 
-def _shoot_with_variations(metric, x0, w, J0, Jd0, nsteps=32):
-    """Integrate the geodesic with initial velocity w over s in [0,1],
-    carrying variation fields with coordinate data (J0, Jd0)."""
-    h = 1.0 / nsteps
-    x, v, J, Jd = x0, w, J0, Jd0
-    for _ in range(nsteps):
-        k1 = _var_rhs(metric, x, v, J, Jd)
-        k2 = _var_rhs(metric, x + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
-                      J + 0.5 * h * k1[2], Jd + 0.5 * h * k1[3])
-        k3 = _var_rhs(metric, x + 0.5 * h * k2[0], v + 0.5 * h * k2[1],
-                      J + 0.5 * h * k2[2], Jd + 0.5 * h * k2[3])
-        k4 = _var_rhs(metric, x + h * k3[0], v + h * k3[1],
-                      J + h * k3[2], Jd + h * k3[3])
-        x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        v = v + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        J = J + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        Jd = Jd + (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-    return x, v, J, Jd
+def _variation_rhs(metric):
+    """Geodesic ``(x, v)`` carrying variation fields ``(J, J')`` in chart
+    coordinates, one column per varied parameter."""
+    def f(_, y):
+        x, v, J, Jd = y
+        gam = metric.christoffel(x)
+        dgam = metric.dchristoffel(x)
+        acc = -np.einsum("...kij,...i,...j->...k", gam, v, v)
+        Jacc = (-np.einsum("...lkij,...lm,...i,...j->...km", dgam, J, v, v)
+                - 2.0 * np.einsum("...kij,...i,...jm->...km", gam, v, Jd))
+        return v, acc, Jd, Jacc
+    return f
+
+
+def _shoot(f, y0):
+    """State at s = 1 of ``y' = f(s, y)`` started at s = 0."""
+    s = np.linspace(0.0, 1.0, FERMI_STEPS + 1)
+    return tuple(a[-1] for a in rk4_sweep(f, s, y0, 0))
 
 
 class FermiChart:
@@ -505,7 +487,7 @@ class FermiChart:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, y1, ypp, nsteps=32):
+    def forward(self, y1, ypp):
         """Map Fermi coordinates to chart points.  Batched over leading dims."""
         y1 = np.asarray(y1, dtype=float)
         ypp = np.asarray(ypp, dtype=float)
@@ -514,14 +496,10 @@ class FermiChart:
         w = np.einsum("...dm,...m->...d", frame, ypp)
         if self.metric.is_flat:
             return base + w
-        x, v = base, w
-        h = 1.0 / nsteps
-        for _ in range(nsteps):
-            x, v = _rk4_step(self.metric, x, v, h)
-        return x
+        return _shoot(_geodesic_rhs(self.metric), (base, w))[0]
 
-    def jacobian(self, y1, ypp, nsteps=32):
-        """d F / d(y1, y'') at a single Fermi point; columns [d_y1, d_y''a]."""
+    def _point_and_jacobian(self, y1, ypp):
+        """F and d F / d(y1, y'') at a single Fermi point."""
         y1 = float(y1)
         ypp = np.asarray(ypp, dtype=float)
         d = self.metric.dim
@@ -531,7 +509,7 @@ class FermiChart:
         frame = self.path.frame_at(y1)
         w = frame @ ypp
         if self.metric.is_flat:
-            return np.column_stack([vel, frame])
+            return base + w, np.column_stack([vel, frame])
         gam = self.metric.christoffel(base)
         J0 = np.zeros((d, m + 1))
         Jd0 = np.zeros((d, m + 1))
@@ -539,15 +517,17 @@ class FermiChart:
         # coordinate initial rate to make the covariant initial rate vanish
         Jd0[:, 0] = -np.einsum("kij,i,j->k", gam, w, vel)
         Jd0[:, 1:] = frame
-        _, _, J, _ = _shoot_with_variations(self.metric, base, w, J0, Jd0, nsteps)
-        return J
+        x, _, J, _ = _shoot(_variation_rhs(self.metric), (base, w, J0, Jd0))
+        return x, J
 
-    def pullback_metric(self, y1, ypp, nsteps=32):
+    def jacobian(self, y1, ypp):
+        """d F / d(y1, y'') at a single Fermi point; columns [d_y1, d_y''a]."""
+        return self._point_and_jacobian(y1, ypp)[1]
+
+    def pullback_metric(self, y1, ypp):
         """Components of g in Fermi coordinates at (y1, y'')."""
-        J = self.jacobian(y1, ypp, nsteps)
-        p = self.forward(np.asarray(y1), np.asarray(ypp), nsteps)
-        gx = self.metric.g(p)
-        return J.T @ gx @ J
+        p, J = self._point_and_jacobian(y1, ypp)
+        return J.T @ self.metric.g(p) @ J
 
     # -- inverse ------------------------------------------------------------
 
@@ -572,11 +552,10 @@ class FermiChart:
             y = np.zeros(self.metric.dim)
             y[0] = path.t[int(np.argmin(d2))]
             for _ in range(maxiter):
-                fwd = self.forward(y[0], y[1:])
+                fwd, J = self._point_and_jacobian(y[0], y[1:])
                 res = fwd - p
                 if np.linalg.norm(res) < tol:
                     break
-                J = self.jacobian(y[0], y[1:])
                 step = np.linalg.solve(J, res)
                 y = y - step
             else:

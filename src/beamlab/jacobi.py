@@ -19,6 +19,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import BranchAmbiguity, ConjugatePointHit, SingularAnchor
+from .geometry import rk4_sweep
 
 __all__ = [
     "CurvaturePath", "ComplexJacobiField", "RiccatiPath",
@@ -147,43 +148,6 @@ class ComplexJacobiField:
                    header=",".join(names), comments="", fmt="%.12g")
 
 
-def _jacobi_rhs(Kfun, t, Y, Yd):
-    return Yd, -Kfun(t) @ Y
-
-
-def _integrate_jacobi(K, tau0, Y0, Y1):
-    """RK4 sweep of the first-order system for (Y, Y') over K's grid."""
-    t = K.t
-    m = K.m
-    Y0 = np.asarray(Y0, dtype=complex).reshape(m, m)
-    Y1 = np.asarray(Y1, dtype=complex).reshape(m, m)
-    N = len(t)
-    Y = np.empty((N, m, m), dtype=complex)
-    Yd = np.empty((N, m, m), dtype=complex)
-    i0 = int(np.argmin(np.abs(t - tau0)))
-
-    def step(ti, tf, y, yd):
-        h = tf - ti
-        k1y, k1d = _jacobi_rhs(K.at, ti, y, yd)
-        k2y, k2d = _jacobi_rhs(K.at, ti + h / 2, y + h / 2 * k1y, yd + h / 2 * k1d)
-        k3y, k3d = _jacobi_rhs(K.at, ti + h / 2, y + h / 2 * k2y, yd + h / 2 * k2d)
-        k4y, k4d = _jacobi_rhs(K.at, tf, y + h * k3y, yd + h * k3d)
-        return (y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y),
-                yd + h / 6 * (k1d + 2 * k2d + 2 * k3d + k4d))
-
-    # partial step from tau0 to the nearest node, then node-to-node sweeps
-    y, yd = step(tau0, t[i0], Y0, Y1) if t[i0] != tau0 else (Y0, Y1)
-    Y[i0], Yd[i0] = y, yd
-    for i in range(i0 + 1, N):
-        y, yd = step(t[i - 1], t[i], y, yd)
-        Y[i], Yd[i] = y, yd
-    y, yd = Y[i0], Yd[i0]
-    for i in range(i0 - 1, -1, -1):
-        y, yd = step(t[i + 1], t[i], y, yd)
-        Y[i], Yd[i] = y, yd
-    return t, Y, Yd
-
-
 def solve_jacobi(K, tau0, Y0, Y1, require_admissible=False):
     """Solve the matrix deviation equation with anchor data at ``tau0``."""
     m = K.m
@@ -200,8 +164,12 @@ def solve_jacobi(K, tau0, Y0, Y1, require_admissible=False):
         if sym > 1e-10 or im_min <= 0:
             raise SingularAnchor("anchor fails the admissibility condition")
         admissible = True
-    t, Y, Yd = _integrate_jacobi(K, tau0, Y0m, Y1m)
-    return ComplexJacobiField(t=t, Y=Y, Yd=Yd, tau0=float(tau0),
+    # RK4 on the first-order system for (Y, Y') over K's grid, starting at
+    # the node nearest tau0
+    i0 = int(np.argmin(np.abs(K.t - tau0)))
+    Y, Yd = rk4_sweep(lambda t, y: (y[1], -K.at(t) @ y[0]), K.t,
+                      (Y0m, Y1m), i0, t0=tau0)
+    return ComplexJacobiField(t=K.t, Y=Y, Yd=Yd, tau0=float(tau0),
                               Y0=Y0m, Y1=Y1m, admissible=admissible)
 
 

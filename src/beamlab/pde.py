@@ -559,8 +559,7 @@ def complex_step_first(solver, V, f, h=1e-8, r0=0.5):
 # linearization cascade
 # ---------------------------------------------------------------------------
 
-def linearize_divided_difference(solver, V, fs, beta, h=1e-3, r0=0.5,
-                                 richardson=False):
+def linearize_divided_difference(solver, V, fs, beta, h=1e-3, r0=0.5):
     """Mixed centered divided differences of the solution map at zero data."""
     beta = tuple(int(b) for b in beta)
     if sum(beta) < 1 or max(beta) > 3:
@@ -582,29 +581,24 @@ def linearize_divided_difference(solver, V, fs, beta, h=1e-3, r0=0.5,
         u, _ = solve_semilinear(solver, V, fcomb, r0=r0)
         return u
 
-    def stencil(b, hstep):
+    def stencil(b):
         if b == 0:
             return [(0.0, 1.0)]
         if b == 1:
-            return [(hstep, 0.5 / hstep), (-hstep, -0.5 / hstep)]
+            return [(h, 0.5 / h), (-h, -0.5 / h)]
         if b == 2:
-            return [(hstep, 1.0 / hstep ** 2), (0.0, -2.0 / hstep ** 2),
-                    (-hstep, 1.0 / hstep ** 2)]
-        return [(2 * hstep, 0.5 / hstep ** 3), (hstep, -1.0 / hstep ** 3),
-                (-hstep, 1.0 / hstep ** 3), (-2 * hstep, -0.5 / hstep ** 3)]
+            return [(h, 1.0 / h ** 2), (0.0, -2.0 / h ** 2),
+                    (-h, 1.0 / h ** 2)]
+        return [(2 * h, 0.5 / h ** 3), (h, -1.0 / h ** 3),
+                (-h, 1.0 / h ** 3), (-2 * h, -0.5 / h ** 3)]
 
-    def diff(hstep):
-        total = None
-        for combo in itertools.product(*[stencil(b, hstep) for b in beta]):
-            eps = [c[0] for c in combo]
-            wgt = float(np.prod([c[1] for c in combo]))
-            term = wgt * solve_at(eps)
-            total = term if total is None else total + term
-        return total
-
-    if not richardson:
-        return diff(h)
-    return (4.0 * diff(h / 2) - diff(h)) / 3.0
+    total = None
+    for combo in itertools.product(*[stencil(b) for b in beta]):
+        eps = [c[0] for c in combo]
+        wgt = float(np.prod([c[1] for c in combo]))
+        term = wgt * solve_at(eps)
+        total = term if total is None else total + term
+    return total
 
 
 def _set_partitions(items, nblocks):

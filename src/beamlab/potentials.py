@@ -18,10 +18,9 @@ __all__ = ["PotentialSeries", "make_field", "field_from_config"]
 class PotentialSeries:
     """Taylor coefficients of the nonlinearity as closed-form callables."""
 
-    def __init__(self, coeffs, kmax=None, v1_real=True):
+    def __init__(self, coeffs, kmax=None):
         self.coeffs = dict(coeffs)
         self.kmax = max(self.coeffs) if kmax is None and self.coeffs else (kmax or 0)
-        self.v1_real = v1_real
 
     def coeff(self, k):
         fn = self.coeffs.get(k)
@@ -53,7 +52,7 @@ class PotentialSeries:
     def replace(self, k, fn):
         coeffs = dict(self.coeffs)
         coeffs[k] = fn
-        return PotentialSeries(coeffs, kmax=max(self.kmax, k), v1_real=self.v1_real)
+        return PotentialSeries(coeffs, kmax=max(self.kmax, k))
 
     def scaled(self, k, factor):
         fn = self.coeff(k)

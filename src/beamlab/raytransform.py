@@ -44,12 +44,6 @@ class GeodesicSample:
         self._spl = CubicSpline(self.t, self.values)
 
     @classmethod
-    def from_path(cls, path, fn):
-        """Restrict a chart function ``fn(x') -> value`` to the geodesic."""
-        vals = fn(path.x)
-        return cls(path.t, vals, window=(path.tau_minus, path.tau_plus))
-
-    @classmethod
     def from_time_function(cls, path, fn):
         return cls(path.t, fn(path.t), window=(path.tau_minus, path.tau_plus))
 
@@ -106,13 +100,12 @@ class InversionReport:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _simpson(vals, x):
-    """Composite Simpson on a uniform grid with an odd number of nodes."""
-    h = x[1] - x[0]
-    w = np.ones(len(x))
+def _simpson_weights(n, h):
+    """Composite Simpson weights on ``n`` (odd) uniform nodes of spacing h."""
+    w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return h / 3.0 * np.sum(w * vals, axis=-1)
+    return w * h / 3.0
 
 
 def _sinh_grid(window, center, scale, nodes):
@@ -144,7 +137,7 @@ def j1_forward(f, Y, window=None, nodes=4001):
     t, jac, u = _sinh_grid(window, center, scale / 4.0, nodes)
     w = det_root_branch(Y, t)
     vals = f.at(t) * w * jac
-    return complex(_simpson(vals, u))
+    return complex(np.sum(_simpson_weights(len(u), u[1] - u[0]) * vals))
 
 
 def j2_forward(f, Y, window=None, nodes=4001):
@@ -154,7 +147,7 @@ def j2_forward(f, Y, window=None, nodes=4001):
     center, scale = _collapse_scale(Y, window, m)
     t, jac, u = _sinh_grid(window, center, scale / 4.0, nodes)
     vals = f.at(t) * np.abs(Y.det(t)) ** (-1.0) * jac
-    return complex(_simpson(vals, u))
+    return complex(np.sum(_simpson_weights(len(u), u[1] - u[0]) * vals))
 
 
 def forward_curve(f, family, eps_grid, kind="second", window=None, nodes=4001):
@@ -313,9 +306,7 @@ def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None,
     # the exact weight family; moments are quadratures of the fit
     nq = 1601
     tq = np.linspace(ta, tb, nq)
-    wq = np.ones(nq)
-    wq[1:-1:2], wq[2:-1:2] = 4.0, 2.0
-    wq *= (tq[1] - tq[0]) / 3.0
+    wq = _simpson_weights(nq, tq[1] - tq[0])
     Xtq = np.interp(tq, tt, Xt)
     s = 2.0 * (tq - ta) / (tb - ta) - 1.0
     nba = K_max + pad
@@ -334,8 +325,6 @@ def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None,
     M = np.array([np.sum(wq * rho * Xtq ** k) for k in range(K_max + 1)])
 
     # Legendre LS on the transformed interval against the raw moments
-    from numpy.polynomial import legendre as L
-
     lo, hi = xt_min, xt_max
     q_nodes, q_w = np.polynomial.legendre.leggauss(64)
     s_nodes = q_nodes

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .cgo import build_amplitude, build_phase, quasimode_eval
+from .cgo import (_flat_tube_points, build_amplitude, build_phase,
+                  quasimode_eval, tube_grid)
 from .errors import ModeMismatch, WpTooSmall
 from .geometry import trace_geodesic
 from .jacobi import curvature_along, epsilon_family, real_pair, riccati_path
-from .raytransform import invert_j1_moments, invert_j2_point
+from .raytransform import _simpson_weights, invert_j1_moments, invert_j2_point
 
 __all__ = [
     "ReconTask", "BeamBundle", "RecoveredPotential",
@@ -43,7 +44,6 @@ class ReconTask:
     m: int
     point: object = None             # transversal anchor (defaults to origin)
     theta: object = None
-    mode: str = "synthetic_dn"
     lams: tuple = (80.0, 160.0, 320.0, 640.0)
     lam_eps_ref: float = 0.4       # ladder rescales like max(1, ref/eps)
     sigma0: float = 8.0
@@ -92,7 +92,9 @@ class BeamBundle:
 
     def beam(self, eps, N, delta=None, n_amp=0, V1=None):
         """Phase and amplitude jets for one family parameter, memoized."""
-        key = (round(float(eps), 14), N, delta, n_amp, id(V1))
+        # keyed on V1 itself: the entry keeps it alive, so its identity
+        # cannot pass to a new object while the entry exists
+        key = (round(float(eps), 14), N, delta, n_amp, V1)
         if key not in self._beams:
             Y = self.family(eps)
             phase = build_phase(self.path, Y, N=N)
@@ -115,41 +117,14 @@ def prepare_bundle(task, anchor="point"):
 # tube quadrature of interaction integrals
 # ---------------------------------------------------------------------------
 
-def _tube_grids(phase, amp, lam, ny1=161, ns=41, smax=6.0):
-    """Axis samples and per-sample offset grids scaled to the beam width."""
+def _beam_width(phase, amp, lam, ny1):
+    """Tube half-width at ``ny1`` axis samples,
+    ``6 / sqrt(4 lam min eig Im H)`` capped at the cutoff radius."""
     y1 = np.linspace(phase.y1[0], phase.y1[-1], ny1)
-    m = phase.m
-    imH = np.array([np.min(np.linalg.eigvalsh(
-        (phase.H - np.conj(np.swapaxes(phase.H, 1, 2))) / 2j)[k])
-        for k in range(len(phase.y1))])
+    imH = np.min(np.linalg.eigvalsh(
+        (phase.H - np.conj(np.swapaxes(phase.H, 1, 2))) / 2j), axis=-1)
     imH_s = np.interp(y1, phase.y1, np.maximum(imH, 1e-8))
-    width = np.minimum(smax / np.sqrt(4.0 * lam * imH_s), amp.delta)
-    s = np.linspace(-1.0, 1.0, ns)
-    if m == 1:
-        ypp = width[:, None, None] * s[None, :, None]       # (ny1, ns, 1)
-        wgt = width * (s[1] - s[0])
-        T = np.broadcast_to(y1[:, None], (ny1, ns)).copy()
-        return y1, T, ypp, wgt
-    sm = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1).reshape(-1, 2)
-    ypp = width[:, None, None] * sm[None, :, :]
-    wgt = width ** 2 * (s[1] - s[0]) ** 2
-    T = np.broadcast_to(y1[:, None], (ny1, sm.shape[0])).copy()
-    return y1, T, ypp, wgt
-
-
-def _flat_points(path, T, ypp):
-    base = path.point(0.0)
-    vel = path.velocity(0.0)
-    frame = path.frame_at(0.0)
-    return (base + T[..., None] * vel
-            + np.einsum("...m,dm->...d", ypp, frame))
-
-
-def _simpson_weights(n, h):
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * h / 3.0
+    return np.minimum(6.0 / np.sqrt(4.0 * lam * imH_s), amp.delta)
 
 
 def tube_interaction(bundle, field_fn, phases, amps, rhos, signs, powers,
@@ -165,8 +140,9 @@ def tube_interaction(bundle, field_fn, phases, amps, rhos, signs, powers,
         nx0 += 1
     x0 = np.linspace(a0, b0, nx0)
     wx0 = _simpson_weights(nx0, x0[1] - x0[0])
-    y1, T, ypp, wgt = _tube_grids(phases[0], amps[0], lam_scale, ny1, ns)
-    pts = _flat_points(bundle.path, T, ypp)
+    width = _beam_width(phases[0], amps[0], lam_scale, ny1)
+    y1, T, ypp, wgt = tube_grid(phases[0], width, ny1, ns)
+    pts = _flat_tube_points(bundle.path, T, ypp)
     dy1 = y1[1] - y1[0]
 
     prod = None
@@ -314,7 +290,6 @@ class RecoveredPotential:
     xi_data: np.ndarray
     err_est: np.ndarray
     truth: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def rel_error(self):
         if self.truth is None:
@@ -436,8 +411,7 @@ def recover_vm(task, progress=None):
             else np.asarray(task.point, dtype=float)
         truth = np.asarray(task.truth(x0g, p[None, :]), dtype=complex)
     return RecoveredPotential(m=task.m, x0=x0g, values=vals, xi=xi,
-                              xi_data=data, err_est=errs, truth=truth,
-                              meta={"mode": task.mode})
+                              xi_data=data, err_est=errs, truth=truth)
 
 
 def recover_v2(task):
@@ -565,9 +539,7 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, nx0=96, nr=32, nphi=64,
                     lam if V2f is None else 2 * lam, lam)
     _check_sampling("cylinder", "torus", cyl.dtrans, lam, lam)
     d = chart.trans_dim - 1
-    Y = bundle.family(eps)
-    phase = build_phase(bundle.path, Y, N=task.N)
-    amp = build_amplitude(bundle.path, phase, Y, N_amp=1, delta=task.delta)
+    _, phase, amp = bundle.beam(eps, task.N, task.delta, n_amp=1)
     rho = complex(lam, sigma)
     sol_p = assemble_cgo(bundle.path, phase, amp, lam, sigma, cyl, sign=+1)
     sol_m = assemble_cgo(bundle.path, phase, amp, lam, sigma, cyl, sign=-1)

@@ -100,3 +100,29 @@ class TestTasks:
             for name in sorted(p.name for p in out.iterdir()):
                 acc.append((name, sha(out / name)))
         assert h1 == h2
+
+    def test_recover_quadratic_reports(self, tmp_path, monkeypatch):
+        # canned recover_v2 result: 2 x0 samples, 3 geodesic parameters
+        import beamlab.recon
+
+        t = np.array([-0.5, 0.0, 0.5])
+        x0 = np.array([0.0, 1.0])
+        field = np.arange(6.0).reshape(2, 3) + 0.5j
+        canned = {"x0": x0, "t": t, "points": np.zeros((3, 2)),
+                  "field": field, "truth": field.real + 0j,
+                  "rel_error": 0.25, "rel_error_interior": 0.05}
+        monkeypatch.setattr(beamlab.recon, "recover_v2", lambda task: canned)
+        cfg = base_config()
+        cfg["recover"] = {"m": 2}
+        out = tmp_path / "run"
+        res = run_task("recover", cfg, str(out))
+        assert res["rel_error"] == 0.25
+        assert res["rel_error_interior"] == 0.05
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["result"]["rel_error_interior"] == 0.05
+        lines = (out / "recovered.csv").read_text().splitlines()
+        assert lines[0] == "x0,t,m,Vm_re,Vm_im,err_est,truth_re,truth_im"
+        data = np.loadtxt(lines[1:], delimiter=",")
+        np.testing.assert_array_equal(data[:, 1], np.repeat(t, 2))
+        np.testing.assert_array_equal(data[:, 0], np.tile(x0, 3))
+        np.testing.assert_array_equal(data[:, 3], field.real.T.ravel())

@@ -106,6 +106,22 @@ class TestMoments:
         assert abs(vals[0] - vals[1]) <= 2e-3 * abs(vals[0])
 
 
+class TestBeamMemo:
+    def test_key_keeps_v1_alive(self, v3_setup):
+        import gc
+        import weakref
+
+        _, bundle = v3_setup
+        f = make_field("constant", value=0.5)
+        ref = weakref.ref(f)
+        beam = bundle.beam(0.3, 2, V1=f)
+        assert bundle.beam(0.3, 2, V1=f) is beam
+        del f
+        gc.collect()
+        # the entry holds V1, so its id cannot pass to a new object
+        assert ref() is not None
+
+
 class TestRecoverVm:
     def test_m3_coarse(self, v3_setup):
         task, _ = v3_setup
