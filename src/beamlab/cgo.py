@@ -203,7 +203,7 @@ def _normalized_series(u, order, n, exponent):
 # metric jets from the tube chart
 # ---------------------------------------------------------------------------
 
-def metric_jet(fermi, y1, order, h_fit=None):
+def metric_jet(fermi, y1, order):
     """Offset Taylor polynomials of the pullback metric along the axis."""
     metric = fermi.metric
     d = metric.dim
@@ -212,7 +212,7 @@ def metric_jet(fermi, y1, order, h_fit=None):
     if metric.is_flat:
         return [[jet_const(m, order, n, 1.0 if i == j else 0.0)
                  for j in range(d)] for i in range(d)]
-    h_fit = min(0.05, fermi.delta_prime / 6.0) if h_fit is None else h_fit
+    h_fit = min(0.05, fermi.delta_prime / 6.0)
     if m == 1:
         offs = h_fit * np.arange(-3, 4)[:, None]
     else:
@@ -321,7 +321,7 @@ def _transport_sweep(y1, Bfun, Sfun, i0):
                      i0)[0]
 
 
-def build_phase(path, Y, N=2, ny1=321, tau0=None):
+def build_phase(path, Y, N=2, ny1=321):
     """Phase jet of order N from an admissible Jacobi family along ``path``."""
     if N < 2 or N > 4:
         raise UnsupportedOrder("phase order must be 2, 3 or 4")
@@ -332,7 +332,6 @@ def build_phase(path, Y, N=2, ny1=321, tau0=None):
     fermi = FermiChart(path)
     y1 = np.linspace(path.t[0], path.t[-1], ny1)
     H = riccati_path(Y).at(y1)
-    tau0 = Y.tau0 if tau0 is None else float(tau0)
     n = len(y1)
     order = N
 
@@ -352,7 +351,7 @@ def build_phase(path, Y, N=2, ny1=321, tau0=None):
     ginv = _mat_inverse_jet(G, order, n)
     gdet_sqrt = _normalized_series(_det_jet(G, order), order, n, 0.5)
 
-    i0 = int(np.argmin(np.abs(y1 - tau0)))
+    i0 = int(np.argmin(np.abs(y1 - Y.tau0)))
     for k in range(3, N + 1):
         monos_k = [a for a in monomials(m, order) if sum(a) == k]
         defect = _eikonal_defect_jet(jet, ginv, y1, order).order_part(k)
@@ -387,21 +386,29 @@ def _bump_ratio(u):
 def smooth_cutoff(s, deriv=0):
     """Profile equal to 1 for |s| < 1/2 and 0 for |s| > 1, smooth between.
 
-    ``deriv`` in {0, 1, 2} returns the profile or its s-derivatives
-    (computed by centered differences of the closed form)."""
+    ``deriv`` in {0, 1, 2} returns the profile or its |s|-derivatives, in
+    closed form.  With u = 2|s| - 1, a = e^{-1/(1-u)} and b = e^{-1/u} the
+    profile is chi = a / (a + b); g = ab / (a + b)^2 = chi (1 - chi), which
+    does not cancel near chi = 1, and q = (1-u)^{-2} + u^{-2} give
+    chi' = -2 g q and chi'' = -4 ((1 - 2 chi)(-g q) q + g q')."""
     s = np.abs(np.asarray(s, dtype=float))
+    out = np.ones_like(s) if deriv == 0 else np.zeros_like(s)
+    out[s >= 1.0] = 0.0
+    mid = (s > 0.5) & (s < 1.0)
+    u = (s[mid] - 0.5) / 0.5
+    a, b = _bump_ratio(1.0 - u), _bump_ratio(u)
+    chi = a / (a + b)
     if deriv == 0:
-        out = np.ones_like(s)
-        out[s >= 1.0] = 0.0
-        mid = (s > 0.5) & (s < 1.0)
-        u = (s[mid] - 0.5) / 0.5
-        out[mid] = _bump_ratio(1.0 - u) / (_bump_ratio(1.0 - u) + _bump_ratio(u))
+        out[mid] = chi
         return out
-    h = 1e-5
+    g = a * b / (a + b) ** 2
+    q = (1.0 - u) ** -2 + u ** -2
     if deriv == 1:
-        return (smooth_cutoff(s + h) - smooth_cutoff(s - h)) / (2 * h)
-    return (smooth_cutoff(s + h) - 2 * smooth_cutoff(s)
-            + smooth_cutoff(s - h)) / h ** 2
+        out[mid] = -2.0 * g * q
+        return out
+    dq = 2.0 * (1.0 - u) ** -3 - 2.0 * u ** -3
+    out[mid] = -4.0 * ((1.0 - 2.0 * chi) * (-g * q) * q + g * dq)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +498,7 @@ class AmplitudeJet:
         return itp(pts)
 
 
-def build_amplitude(path, phase, Y, V1=None, N_amp=1, x0_grid=None,
-                    delta=None, ny0=96):
+def build_amplitude(path, phase, Y, V1=None, N_amp=1, delta=None):
     """Amplitude jets for both beam signs along ``path``.
 
     The principal part is y0-independent; with ``N_amp >= 1`` the axis
@@ -548,7 +554,7 @@ def build_amplitude(path, phase, Y, V1=None, N_amp=1, x0_grid=None,
     if N_amp >= 1:
         a0, b0 = path.chart.interval
         pad = 0.5 * (b0 - a0)
-        x0 = np.linspace(a0 - pad, b0 + pad, ny0) if x0_grid is None else x0_grid
+        x0 = np.linspace(a0 - pad, b0 + pad, 96)
         amp.x0 = x0
         lap_v0_axis = _laplace_beltrami_jet(v0, ginv, gdet, gdet_inv,
                                             y1, order).get((0,) * m, n)
@@ -857,7 +863,7 @@ def quasimode_on_cylinder(phase, amp, rho, sign, grid, path):
 
 
 def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1, V1_field=None,
-                 V1=None, collar_width=None, compute_pde_residual=False):
+                 V1=None, compute_pde_residual=False):
     """Complete the beam to an exponential solution on a flat chart.
 
     The analytic defect is evaluated on the cylinder grid, cut to a smooth
@@ -871,8 +877,7 @@ def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1, V1_field=None,
     mesh = grid.mesh()
     XP = np.stack(mesh[1:], axis=-1)
     t, ypp = _flat_tube_coords(path, XP[0])
-    width = 0.5 * chart.extension_margin if collar_width is None \
-        else float(collar_width)
+    width = 0.5 * chart.extension_margin
     r = np.sqrt(np.sum(XP[0] ** 2, axis=-1))
     collar = smooth_cutoff(0.5 * (1.0 + np.clip((r - chart.radius) / width,
                                                 0.0, None)))

@@ -267,29 +267,14 @@ def task_recover(cfg, chart, outdir):
         truth = field_from_config(block["truth"])
     task = ReconTask(chart=chart, V=V, m=m, truth=truth,
                      N=int(block.get("N", 2)), **kwargs)
-    if m == 2:
-        # the field lives along the geodesic: one row per (t, x0), with t the
-        # geodesic parameter of the point
-        res = recover_v2(task)
-        out = os.path.join(outdir, "recovered.csv")
-        with open(out, "w") as fh:
-            fh.write("x0,t,m,Vm_re,Vm_im,err_est,truth_re,truth_im\n")
-            for j, t in enumerate(res["t"]):
-                for i, x0v in enumerate(res["x0"]):
-                    tr = (res["truth"][i, j] if res["truth"] is not None
-                          else complex(np.nan))
-                    row = (x0v, t, 2, res["field"][i, j].real,
-                           res["field"][i, j].imag, 0.0, tr.real, tr.imag)
-                    fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
-        # criterion 10 judges the interior error; the whole-window error
-        # also counts the ends of the window, where it is largest
-        return {"rel_error": res["rel_error"],
-                "rel_error_interior": res["rel_error_interior"],
-                "files": [out]}
-    rec = recover_vm(task)
+    rec = recover_v2(task) if m == 2 else recover_vm(task)
     out = os.path.join(outdir, "recovered.csv")
     rec.to_csv(out)
-    return {"rel_error": rec.rel_error(), "files": [out]}
+    # criterion 10 judges the interior error for m = 2; the whole-window
+    # error also counts the ends of the window, where it is largest
+    return {"rel_error": rec.rel_error(),
+            "rel_error_interior": rec.rel_error(interior=True),
+            "files": [out]}
 
 
 TASKS = {

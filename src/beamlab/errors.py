@@ -93,10 +93,6 @@ class SearchFailed(BeamlabError):
 
 # -- recon / cli ------------------------------------------------------------
 
-class WpTooSmall(BeamlabError):
-    """Normalizing solution power too small at the target point."""
-
-
 class ModeMismatch(BeamlabError):
     """Requested task parameters exceed what the chosen mode can resolve."""
 

@@ -222,13 +222,12 @@ class SchrodingerSolver:
     centered first-order term would instead drift like (lam^2 h)^2.
     """
 
-    def __init__(self, domain, V1_field=None, lam=0.0, fast_angle=None):
+    def __init__(self, domain, V1_field=None, lam=0.0):
         self.domain = domain
         self.V1 = (np.zeros(domain.shape) if V1_field is None
                    else np.asarray(V1_field))
         self.lam = float(lam)
-        possible = self._fast_angle_possible()
-        self.fast = possible if fast_angle is None else (fast_angle and possible)
+        self.fast = self._fast_angle_possible()
         self._assemble()
 
     def _fast_angle_possible(self):
@@ -330,9 +329,10 @@ class SchrodingerSolver:
         symbols = (2.0 * np.cos(2.0 * np.pi * ks / nphi) - 2.0) / hphi ** 2
         aphi = dom.A[-1][..., 0] / dom.W[..., 0]
         V2d = np.asarray(self.V1)[..., 0]
+        # the sub-domain ends in the cell-centred radius: no further split
         self._subsolvers = [
             SchrodingerSolver(sub, V1_field=V2d - symbols[k] * aphi,
-                              lam=self.lam, fast_angle=False)
+                              lam=self.lam)
             for k in range(nphi)]
 
     # -- boundary data ------------------------------------------------------
@@ -684,8 +684,9 @@ def greens_pairing(domain, w_full, w_bdata, L_full, rhs):
     return boundary, volume, abs(boundary - volume)
 
 
-def nonvanishing_solution(solver, p_index, threshold=1e-8):
-    """Homogeneous solution with |W(p)| maximal over a small datum dictionary."""
+def nonvanishing_solution(solver, index, threshold=1e-8):
+    """Homogeneous solution with |W| at grid ``index`` maximal over a small
+    datum dictionary."""
     def const(x0, xp):
         return np.ones(np.broadcast(np.asarray(x0),
                                     np.asarray(xp)[..., 0]).shape)
@@ -701,7 +702,7 @@ def nonvanishing_solution(solver, p_index, threshold=1e-8):
     best, best_val = None, 0.0
     for fn in cands:
         Wp = solver.solve(bdata=fn)
-        val = abs(Wp[tuple(p_index)])
+        val = abs(Wp[tuple(index)])
         if val > best_val:
             best, best_val = Wp, val
     if best_val < threshold:

@@ -20,7 +20,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from .cgo import (_flat_tube_points, build_amplitude, build_phase,
                   quasimode_eval, tube_grid)
-from .errors import ModeMismatch, WpTooSmall
+from .errors import ModeMismatch
 from .geometry import trace_geodesic
 from .jacobi import curvature_along, epsilon_family, real_pair, riccati_path
 from .raytransform import _simpson_weights, invert_j1_moments, invert_j2_point
@@ -56,7 +56,6 @@ class ReconTask:
     basis_freqs: tuple = (1.5,)
     assume_real: bool = True         # enforce conjugate symmetry across xi
     truth: object = None             # optional callable for diagnostics
-    wp_solver: object = None         # SchrodingerSolver for the normalizer
 
     def xi_grid(self):
         half = self.sigma0 / 4.0
@@ -128,7 +127,7 @@ def _beam_width(phase, amp, lam, ny1):
 
 
 def tube_interaction(bundle, field_fn, phases, amps, rhos, signs, powers,
-                     lam_scale, nx0=49, ny1=161, ns=41, vol_fn=None):
+                     lam_scale, nx0=49, ny1=161, ns=41):
     """lambda^{d/2} * integral of field * prod_k q_k^{p_k} over I x tube.
 
     ``q_k`` are beam factors (growth removed), evaluated from shared tube
@@ -154,8 +153,6 @@ def tube_interaction(bundle, field_fn, phases, amps, rhos, signs, powers,
     fv = field_fn(x0[:, None, None], pts[None])
     # coefficients live on the manifold and extend by zero past the chart
     fv = fv * chart.inside(pts)[None]
-    if vol_fn is not None:
-        fv = fv * vol_fn(pts)[None]
     integrand = fv * prod
     val = np.einsum("i,ijk->jk", wx0, integrand)
     val = np.sum(val * wgt[:, None]) * dy1
@@ -193,8 +190,8 @@ def _calibration(bundle, Y, eps):
 # moment data
 # ---------------------------------------------------------------------------
 
-def dn_moment_v3(task, bundle, eps, sigma, field_fn=None, wp_fn=None,
-                 lams=None, n_amp=0):
+def dn_moment_v3(task, bundle, eps, sigma, field_fn=None, lams=None,
+                 n_amp=0):
     """Frequency-ladder interaction data for an (m >= 3)-fold family.
 
     Synthetic mode: evaluates the tube integral of
@@ -205,11 +202,7 @@ def dn_moment_v3(task, bundle, eps, sigma, field_fn=None, wp_fn=None,
     V1 = task.V.coeff(1) if (n_amp and 1 in task.V.coeffs) else None
     Y, phase, amp = bundle.beam(eps, task.N, task.delta, n_amp, V1)
     if field_fn is None:
-        Vm = task.V.coeff(task.m)
-        if wp_fn is None:
-            field_fn = Vm
-        else:
-            field_fn = lambda x0, p: Vm(x0, p) * wp_fn(x0, p) ** (task.m - 3)
+        field_fn = task.V.coeff(task.m)
     vals = []
     for lam in lams:
         rho = complex(lam, sigma)
@@ -283,6 +276,13 @@ def stationary_phase_oracle(task, bundle, eps, xi, kind="second", nq=2001):
 
 @dataclass
 class RecoveredPotential:
+    """Recovered coefficient V_m over the product variable ``x0`` and the
+    geodesic parameter ``t``; ``values`` has shape ``x0.shape + shape(t)``.
+
+    The second-kind route (m >= 3) recovers V_m at the anchor, t = 0; the
+    moment route (m = 2) along the geodesic, with ``interior`` masking the
+    ``t`` away from the window ends and ``err_est`` nan (no per-xi bound).
+    """
     m: int
     x0: np.ndarray
     values: np.ndarray
@@ -290,24 +290,34 @@ class RecoveredPotential:
     xi_data: np.ndarray
     err_est: np.ndarray
     truth: np.ndarray | None = None
+    t: float | np.ndarray = 0.0
+    interior: np.ndarray | None = None
 
-    def rel_error(self):
+    def rel_error(self, interior=False):
+        """max |values - truth| / max |truth|, the max taken over the
+        ``interior`` columns only if asked; the scale is the whole field's."""
         if self.truth is None:
             return None
         scale = np.max(np.abs(self.truth))
-        return float(np.max(np.abs(self.values - self.truth)) / scale)
+        err = np.abs(self.values - self.truth)
+        if interior and self.interior is not None:
+            err = err[..., self.interior]
+        return float(np.max(err) / scale)
 
-    def to_csv(self, fname, p_index=0):
-        truth = (np.full(len(self.x0), np.nan) if self.truth is None
-                 else self.truth)
+    def to_csv(self, fname):
+        """One row per (t, x0), t-major; ``err_est`` is the mean over xi."""
+        nx0, nt = len(self.x0), np.size(self.t)
+        truth = (np.full(self.values.shape, complex(np.nan, np.nan))
+                 if self.truth is None else self.truth)
+        vals, truth = (np.reshape(a, (nx0, nt)).T.ravel()
+                       for a in (self.values, truth))
         rows = np.column_stack([
-            self.x0, np.full(len(self.x0), p_index),
-            np.full(len(self.x0), self.m),
-            self.values.real, self.values.imag,
-            np.full(len(self.x0), np.mean(self.err_est)),
+            np.tile(self.x0, nt), np.repeat(np.ravel(self.t), nx0),
+            np.full(nx0 * nt, self.m), vals.real, vals.imag,
+            np.full(nx0 * nt, np.mean(self.err_est)),
             np.real(truth), np.imag(truth)])
         np.savetxt(fname, rows, delimiter=",", comments="", fmt="%.10g",
-                   header="x0,p_index,m,Vm_re,Vm_im,err_est,truth_re,truth_im")
+                   header="x0,t,m,Vm_re,Vm_im,err_est,truth_re,truth_im")
 
 
 def fourier_synthesis(task, xi, data, nx0=97):
@@ -340,51 +350,21 @@ def fourier_synthesis(task, xi, data, nx0=97):
     return x0g, vals, coef
 
 
-def _wp_interp(task):
-    """Normalizer field as a callable of (x0, points)."""
-    if task.wp_solver is None:
-        return None, 1.0
-    from .pde import nonvanishing_solution
-
-    solver = task.wp_solver
-    dom = solver.domain
-    # locate the target point on the polar grid
-    p = np.zeros(task.chart.trans_dim) if task.point is None \
-        else np.asarray(task.point, dtype=float)
-    r_p = float(np.hypot(*p)) if len(p) == 2 else float(np.abs(p[0]))
-    ir = int(np.argmin(np.abs(dom.axes[1].nodes - r_p)))
-    iphi = int(np.argmin(np.abs(dom.axes[2].nodes
-                                - (math.atan2(p[1], p[0]) % (2 * math.pi)))))
-    ix = dom.axes[0].n // 2
-    W = nonvanishing_solution(solver, (ix, ir, iphi))
-    itp = RegularGridInterpolator(
-        (dom.axes[0].nodes, dom.axes[1].nodes,
-         np.concatenate([dom.axes[2].nodes, [2 * math.pi]])),
-        np.concatenate([W.real, W.real[..., :1]], axis=-1),
-        bounds_error=False, fill_value=None)
-
-    def fn(x0, pts):
-        pts = np.asarray(pts)
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        phi = np.arctan2(pts[..., 1], pts[..., 0]) % (2 * math.pi)
-        x0b = np.broadcast_to(np.asarray(x0), r.shape)
-        return itp(np.stack([x0b, r, phi], axis=-1))
-
-    wp_at_p = float(W[ix, ir, iphi].real)
-    return fn, wp_at_p
-
-
 def recover_vm(task, progress=None):
     """Pointwise recovery of the m-th coefficient at the bundle anchor
-    (m >= 3), second-kind route."""
+    (m >= 3), second-kind route.
+
+    For m > 3 the m - 3 surplus factors of the interaction are the
+    normalizer u = 1, so a series with a V1 term raises ``ModeMismatch``
+    before any beam is built."""
     if task.m < 3:
         raise ModeMismatch("the second-kind route needs m >= 3")
+    if task.m > 3 and 1 in task.V.coeffs:
+        raise ModeMismatch(
+            f"m = {task.m} pairs the interaction with the normalizer u = 1, "
+            "which solves the linearized equation only when V1 = 0; the "
+            "series has a V1 term")
     bundle = prepare_bundle(task, anchor="point")
-    wp_fn, wp_at_p = (None, 1.0)
-    if task.m > 3 and task.wp_solver is not None:
-        wp_fn, wp_at_p = _wp_interp(task)
-    if task.m > 3 and abs(wp_at_p) ** (task.m - 3) < 1e-6:
-        raise WpTooSmall("normalizer power too small at the target point")
     xi = task.xi_grid()
     n = task.chart.n
     data = np.empty(len(xi), dtype=complex)
@@ -395,13 +375,12 @@ def recover_vm(task, progress=None):
         for eps in task.eps_grid:
             scale = max(1.0, task.lam_eps_ref / eps)
             lams = tuple(l * scale for l in task.lams)
-            datum, diag = dn_moment_v3(task, bundle, eps, sigma, wp_fn=wp_fn,
-                                       lams=lams)
+            datum, _ = dn_moment_v3(task, bundle, eps, sigma, lams=lams)
             cache[eps] = datum
         rep = invert_j2_point(lambda e: cache[e], list(task.eps_grid),
                               zeta=task.zeta, n=n)
-        data[i] = rep.estimate / wp_at_p ** (task.m - 3)
-        errs[i] = rep.error_bound / abs(wp_at_p) ** (task.m - 3)
+        data[i] = rep.estimate
+        errs[i] = rep.error_bound
         if progress:
             progress(i, len(xi))
     x0g, vals, _ = fourier_synthesis(task, xi, data)
@@ -416,14 +395,14 @@ def recover_vm(task, progress=None):
 
 def recover_v2(task):
     """Recovery of the quadratic coefficient along the geodesic (n = 3:
-    moment route on the conjugate-split first-kind data)."""
+    moment route on the conjugate-split first-kind data), one column of
+    ``values`` per geodesic parameter ``t``."""
     if task.chart.n != 3:
         raise ModeMismatch("the moment route runs on a scalar offset rank")
     bundle = prepare_bundle(task, anchor="entry")
     X, Z = bundle.pair
     window = (bundle.path.tau_minus, bundle.path.tau_plus)
     tt = np.linspace(window[0], window[1], 4001)
-    Xv = X.at(tt)[:, 0, 0].real
     Xt = (Z.at(tt)[:, 0, 0] / X.at(tt)[:, 0, 0]).real
     xt_max = float(np.max(Xt))
     K_max = 8
@@ -447,14 +426,13 @@ def recover_v2(task):
                                  + np.conj(s2_cache[float(e)]))
         im_or = lambda e: (s1_cache[float(e)]
                            - np.conj(s2_cache[float(e)])) / 2j
-        rec_re, diag_re = invert_j1_moments(re_or, X, Z, window, K_max=K_max,
-                                            eps_grid=eps_grid)
+        rec_re, _ = invert_j1_moments(re_or, X, Z, window, K_max=K_max,
+                                      eps_grid=eps_grid)
         rec_im, _ = invert_j1_moments(im_or, X, Z, window, K_max=K_max,
                                       eps_grid=eps_grid)
         per_xi.append((rec_re, rec_im))
     t_out = per_xi[0][0].t
     # assemble the transformed coefficient along gamma, then synthesize per t
-    pts = bundle.path.point(t_out)
     vals = np.empty((len(xi), len(t_out)), dtype=complex)
     for i, k in enumerate(xi):
         fr, fi = per_xi[i]
@@ -462,26 +440,17 @@ def recover_v2(task):
     if task.assume_real:
         # real coefficients carry conjugate symmetry across the frequency grid
         vals = 0.5 * (vals + np.conj(vals[::-1]))
-    x0g = None
-    field = None
-    for j in range(len(t_out)):
-        x0g, v, _ = fourier_synthesis(task, xi, vals[:, j])
-        if field is None:
-            field = np.empty((len(x0g), len(t_out)), dtype=complex)
-        field[:, j] = v
+    fits = [fourier_synthesis(task, xi, vals[:, j]) for j in range(len(t_out))]
+    x0g = fits[0][0]
+    field = np.stack([v for _, v, _ in fits], axis=1)
     truth = None
     if task.truth is not None:
+        pts = bundle.path.point(t_out)
         truth = np.asarray(task.truth(x0g[:, None], pts[None]), dtype=complex)
     interior = np.abs(t_out) <= 0.5 * max(abs(window[0]), abs(window[1]))
-    rel = rel_int = None
-    if truth is not None:
-        scale = np.max(np.abs(truth))
-        rel = float(np.max(np.abs(field - truth)) / scale)
-        rel_int = float(np.max(np.abs(field - truth)[:, interior]) / scale)
-    imag_floor = float(np.max(np.abs(field.imag)) / np.max(np.abs(field.real)))
-    return {"x0": x0g, "t": t_out, "points": pts, "field": field,
-            "truth": truth, "rel_error": rel, "rel_error_interior": rel_int,
-            "interior": interior, "imag_floor": imag_floor, "xi": xi}
+    return RecoveredPotential(m=2, x0=x0g, values=field, xi=xi, xi_data=vals,
+                              err_est=np.full(len(xi), np.nan), truth=truth,
+                              t=t_out, interior=interior)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +484,7 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, nx0=96, nr=32, nphi=64,
     """
     from .cgo import assemble_cgo, quasimode_on_cylinder
     from .cylinder import make_cylinder_grid, torus_length
-    from .pde import (SchrodingerSolver, dirichlet_faces,
-                      disk_cylinder_domain, normal_derivative)
+    from .pde import SchrodingerSolver, disk_cylinder_domain, greens_pairing
 
     chart = task.chart
     if not chart.metric.is_flat:
@@ -544,25 +512,18 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, nx0=96, nr=32, nphi=64,
     sol_p = assemble_cgo(bundle.path, phase, amp, lam, sigma, cyl, sign=+1)
     sol_m = assemble_cgo(bundle.path, phase, amp, lam, sigma, cyl, sign=-1)
 
-    defs = {}
+    beams = {}
     for sgn, sol in ((+1, sol_p), (-1, sol_m)):
         Q = quasimode_on_cylinder(phase, amp, rho, sgn, cyl, bundle.path)
-        U = Q + sol.remainder
-        itp_re = RegularGridInterpolator(
-            (cyl.x0, cyl.trans_axes[0], cyl.trans_axes[1]), U.real,
+        beams[sgn] = RegularGridInterpolator(
+            (cyl.x0, cyl.trans_axes[0], cyl.trans_axes[1]), Q + sol.remainder,
             bounds_error=False, fill_value=0.0)
-        itp_im = RegularGridInterpolator(
-            (cyl.x0, cyl.trans_axes[0], cyl.trans_axes[1]), U.imag,
-            bounds_error=False, fill_value=0.0)
-        defs[sgn] = (itp_re, itp_im)
 
     def g_field(sgn):
         def fn(x0, xp):
             xp = np.asarray(xp)
             x0b = np.broadcast_to(np.asarray(x0), xp[..., 0].shape)
-            q = np.stack([x0b, xp[..., 0], xp[..., 1]], axis=-1)
-            re, im = defs[sgn]
-            return re(q) + 1j * im(q)
+            return beams[sgn](np.stack([x0b, xp[..., 0], xp[..., 1]], axis=-1))
         return fn
 
     V1f = task.V.eval_k(1, x0g, xpg) if 1 in task.V.coeffs else None
@@ -590,13 +551,7 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, nx0=96, nr=32, nphi=64,
     Lt = sol_plus.solve(F=rhs_top)           # L~ = e^{-lam x0} (-w_full)
     Lt = -Lt
 
-    boundary = 0.0 + 0.0j
-    for (j, side) in dirichlet_faces(dom):
-        dL, ds = normal_derivative(dom, Lt, j, side, bvals=0.0)
-        x0f, xpf = dom.face_points(j, side)
-        gmb = gm(x0f, xpf)
-        boundary += -np.sum(gmb * dL * ds)
-    companion = complex(np.sum(dom.quad * H_tilde * w3))
+    boundary, companion, _ = greens_pairing(dom, w3, gm, Lt, H_tilde)
     value = lam ** (d / 2.0) * (boundary - companion)
 
     # volume route evaluated with the interpolated beam fields themselves,

@@ -351,7 +351,7 @@ def test_criterion_10_end_to_end():
                       truth=V2fn, margin=1.0, delta=1.0, sigma0=4.0,
                       lams=(10240.0, 20480.0, 40960.0, 81920.0), n_xi=17)
     out2 = recover_v2(task2)
-    ok = out2["rel_error_interior"] <= 0.10
+    ok = out2.rel_error(interior=True) <= 0.10
 
     # cubic and quartic coefficients at the anchor point
     ch = make_chart("flat_disk", n=3, params={"tube_radius": 0.7})
@@ -373,7 +373,7 @@ def test_criterion_10_end_to_end():
     floor = np.max(np.abs(rec0.values))
     ok &= floor <= 1e-3 * 0.67
     assert report(10, ok,
-                  f"quadratic interior {out2['rel_error_interior']:.3f} "
+                  f"quadratic interior {out2.rel_error(interior=True):.3f} "
                   f"(<=10%); cubic {rel[3]:.3f} (<=10%); quartic {rel[4]:.3f} "
                   f"(<=15%); zero-case floor {floor:.1e}")
 

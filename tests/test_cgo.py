@@ -32,6 +32,23 @@ class TestCutoff:
         assert np.all((chi[3:6] > 0) & (chi[3:6] < 1))
         assert np.all(np.diff(chi) <= 1e-12)
 
+    def test_derivatives_match_mpmath(self):
+        import mpmath
+
+        def chi(s):
+            u = 2 * s - 1
+            a, b = mpmath.exp(-1 / (1 - u)), mpmath.exp(-1 / u)
+            return a / (a + b)
+
+        s = np.linspace(0.5, 1.0, 82)[1:-1]
+        with mpmath.workdps(40):
+            for k in (1, 2):
+                ref = np.array([float(mpmath.diff(chi, mpmath.mpf(v), k))
+                                for v in s])
+                err = np.max(np.abs(smooth_cutoff(s, k) - ref))
+                assert err <= 1e-12 * np.max(np.abs(ref))
+                assert np.all(smooth_cutoff([0.2, 0.5, 1.0, 1.3], k) == 0.0)
+
 
 class TestPhase:
     def test_flat_quadratic_structure(self, flat_beam):

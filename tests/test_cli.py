@@ -104,22 +104,29 @@ class TestTasks:
     def test_recover_quadratic_reports(self, tmp_path, monkeypatch):
         # canned recover_v2 result: 2 x0 samples, 3 geodesic parameters
         import beamlab.recon
+        from beamlab.recon import RecoveredPotential
 
         t = np.array([-0.5, 0.0, 0.5])
         x0 = np.array([0.0, 1.0])
         field = np.arange(6.0).reshape(2, 3) + 0.5j
-        canned = {"x0": x0, "t": t, "points": np.zeros((3, 2)),
-                  "field": field, "truth": field.real + 0j,
-                  "rel_error": 0.25, "rel_error_interior": 0.05}
+        truth = field.real + 0j
+        truth[0, 0] += 2.0           # the largest error sits at a window end
+        canned = RecoveredPotential(
+            m=2, x0=x0, values=field, xi=np.zeros(1), xi_data=np.zeros((1, 3)),
+            err_est=np.full(1, np.nan), truth=truth, t=t,
+            interior=np.array([False, True, False]))
         monkeypatch.setattr(beamlab.recon, "recover_v2", lambda task: canned)
         cfg = base_config()
         cfg["recover"] = {"m": 2}
         out = tmp_path / "run"
         res = run_task("recover", cfg, str(out))
-        assert res["rel_error"] == 0.25
-        assert res["rel_error_interior"] == 0.05
+        rel, rel_int = canned.rel_error(), canned.rel_error(interior=True)
+        assert rel != rel_int
+        assert res["rel_error"] == rel
+        assert res["rel_error_interior"] == rel_int
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["result"]["rel_error_interior"] == 0.05
+        assert manifest["result"]["rel_error"] == rel
+        assert manifest["result"]["rel_error_interior"] == rel_int
         lines = (out / "recovered.csv").read_text().splitlines()
         assert lines[0] == "x0,t,m,Vm_re,Vm_im,err_est,truth_re,truth_im"
         data = np.loadtxt(lines[1:], delimiter=",")

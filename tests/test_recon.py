@@ -149,7 +149,49 @@ class TestRecoverVm:
         out = tmp_path / "recovered.csv"
         rec.to_csv(out)
         header = out.read_text().splitlines()[0]
-        assert header == "x0,p_index,m,Vm_re,Vm_im,err_est,truth_re,truth_im"
+        assert header == "x0,t,m,Vm_re,Vm_im,err_est,truth_re,truth_im"
+
+    def test_m4_with_v1_rejected(self, monkeypatch):
+        import beamlab.recon
+        from beamlab.errors import ModeMismatch
+
+        def no_beam(*args, **kwargs):
+            raise AssertionError("a geodesic was traced")
+
+        monkeypatch.setattr(beamlab.recon, "trace_geodesic", no_beam)
+        ch = make_chart("flat_disk", n=3, params={"tube_radius": 0.7})
+        prof = make_field("trig_gaussian", amp=1.0, freq=1.5, c0=0.4, c1=1.0,
+                          width=0.5, support=0.9, center=(0.1, 0.0))
+        V = PotentialSeries({1: make_field("constant", value=0.5), 4: prof})
+        task = ReconTask(chart=ch, V=V, m=4)
+        with pytest.raises(ModeMismatch, match="V1"):
+            recover_vm(task)
+
+
+class TestRecoveredPotential:
+    def test_csv_two_dimensional(self, tmp_path):
+        from beamlab.recon import RecoveredPotential
+
+        t = np.array([-0.5, 0.0, 0.5])
+        x0 = np.array([0.0, 1.0])
+        values = np.arange(6.0).reshape(2, 3) + 0.5j
+        rec = RecoveredPotential(m=2, x0=x0, values=values, xi=np.zeros(2),
+                                 xi_data=np.zeros((2, 3)),
+                                 err_est=np.full(2, np.nan), t=t)
+        out = tmp_path / "recovered.csv"
+        rec.to_csv(out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x0,t,m,Vm_re,Vm_im,err_est,truth_re,truth_im"
+        data = np.loadtxt(lines[1:], delimiter=",")
+        assert data.shape == (6, 8)
+        # t-major: every x0 at the first t, then every x0 at the next
+        np.testing.assert_array_equal(data[:, 0], np.tile(x0, 3))
+        np.testing.assert_array_equal(data[:, 1], np.repeat(t, 2))
+        np.testing.assert_array_equal(data[:, 2], 2.0)
+        np.testing.assert_array_equal(data[:, 3], values.real.T.ravel())
+        np.testing.assert_array_equal(data[:, 4], 0.5)
+        assert np.all(np.isnan(data[:, 5]))
+        assert np.all(np.isnan(data[:, 6:]))
 
 
 class TestSynthesis:
