@@ -65,13 +65,6 @@ class CylinderGrid:
         a0, b0 = self.interval
         return (self.x0 >= a0 - 1e-12) & (self.x0 <= b0 + 1e-12)
 
-    def evaluate(self, fn):
-        """Sample ``fn(x0, xp)`` on the grid; xp stacked on the last axis."""
-        grids = self.mesh()
-        x0 = grids[0]
-        xp = np.stack(grids[1:], axis=-1)
-        return fn(x0, xp)
-
 
 def torus_length(chart, torus_margin=0.5):
     """Side length of the flat torus that encloses the chart disk."""

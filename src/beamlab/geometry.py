@@ -68,9 +68,6 @@ class ConformalMetric:
         f = np.exp(-2.0 * self.phi(x))
         return f[..., None, None] * np.eye(self.dim)
 
-    def sqrt_det(self, x):
-        return np.exp(self.dim * self.phi(x))
-
     def inner(self, x, u, v):
         """g_x(u, v) for batched vectors."""
         f = np.exp(2.0 * self.phi(x))
@@ -519,10 +516,6 @@ class FermiChart:
         Jd0[:, 1:] = frame
         x, _, J, _ = _shoot(_variation_rhs(self.metric), (base, w, J0, Jd0))
         return x, J
-
-    def jacobian(self, y1, ypp):
-        """d F / d(y1, y'') at a single Fermi point; columns [d_y1, d_y''a]."""
-        return self._point_and_jacobian(y1, ypp)[1]
 
     def pullback_metric(self, y1, ypp):
         """Components of g in Fermi coordinates at (y1, y'')."""

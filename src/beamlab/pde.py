@@ -3,9 +3,11 @@
 Conservative second-order finite differences on tensor grids with diagonal
 metrics.  The transversal disk uses a cell-centered polar radius (the pole
 face carries zero flux, the rim is a Dirichlet face), so the boundary is
-exact; boxes use node axes.  One sparse factorization backs every solve with
-the same zeroth-order coefficient; an axisymmetric fast path splits the
-periodic angle into decoupled 2-D solves.
+exact; boxes use node axes.  Each solver assembles its operator once as one
+sparse matrix and factors it once for every solve with the same zeroth-order
+coefficient.  On a disk whose coefficients do not depend on the periodic
+angle, the factorization splits that same matrix into one block per angular
+frequency, so both ways of factoring solve one discretization.
 """
 
 from __future__ import annotations
@@ -49,6 +51,15 @@ class Axis:
     def n(self):
         return len(self.nodes)
 
+    @property
+    def weights(self):
+        """Trapezoid weights: ``h`` at every node, halved at node-axis ends."""
+        w = np.full(self.n, self.h)
+        if self.kind == "node":
+            w[0] *= 0.5
+            w[-1] *= 0.5
+        return w
+
 
 class ProductDomain:
     """Tensor grid with a diagonal metric.
@@ -64,22 +75,21 @@ class ProductDomain:
         self._chart_point = chart_point
         self.shape = tuple(ax.n for ax in self.axes)
         self.mesh = np.meshgrid(*[ax.nodes for ax in self.axes], indexing="ij")
-        if gdiag is None:
-            diag = np.ones((len(self.axes),) + self.shape)
-        else:
-            diag = np.asarray(gdiag(self.mesh))
-        self.metric_diag = diag
+        diag = self.metric_at(self.mesh)
         self.W = np.sqrt(np.prod(diag, axis=0))
         self.A = [self.W / diag[j] for j in range(len(self.axes))]
         self._build_boundary()
         self._build_quadrature()
 
+    def _chart(self, coords):
+        if self._chart_point is not None:
+            return self._chart_point(coords)
+        if len(self.axes) == 1:
+            return coords[0], coords[0][..., None] * 0.0
+        return coords[0], np.stack(coords[1:], axis=-1)
+
     def points(self):
-        if self._chart_point is None:
-            if len(self.axes) == 1:
-                return self.mesh[0], self.mesh[0][..., None] * 0.0
-            return self.mesh[0], np.stack(self.mesh[1:], axis=-1)
-        return self._chart_point(self.mesh)
+        return self._chart(self.mesh)
 
     def metric_at(self, coords):
         if self.gdiag is None:
@@ -88,34 +98,20 @@ class ProductDomain:
 
     def _build_boundary(self):
         self.interior = np.ones(self.shape, dtype=bool)
-        self.cell_faces = []
         for j, ax in enumerate(self.axes):
             if ax.kind == "node":
                 if ax.dirichlet_lo:
                     self.interior[(slice(None),) * j + (0,)] = False
                 if ax.dirichlet_hi:
                     self.interior[(slice(None),) * j + (-1,)] = False
-            elif ax.kind == "cell":
-                if ax.dirichlet_lo:
-                    self.cell_faces.append((j, 0))
-                if ax.dirichlet_hi:
-                    self.cell_faces.append((j, 1))
-        self.n_int = int(np.sum(self.interior))
 
     def _build_quadrature(self):
         w = np.ones(self.shape)
         for j, ax in enumerate(self.axes):
-            wj = np.full(ax.n, ax.h)
-            if ax.kind == "node":
-                wj[0] *= 0.5
-                wj[-1] *= 0.5
             shape = [1] * len(self.axes)
             shape[j] = ax.n
-            w = w * wj.reshape(shape)
+            w = w * ax.weights.reshape(shape)
         self.quad = w * self.W
-
-    def volume_integral(self, u):
-        return complex(np.sum(self.quad * u))
 
     def face_info(self, j, side):
         """Coordinates, surface measure and metric entry on a Dirichlet face."""
@@ -137,24 +133,13 @@ class ProductDomain:
         for k in range(len(self.axes)):
             if k == j:
                 continue
-            axk = self.axes[k]
-            wk = np.full(axk.n, axk.h)
-            if axk.kind == "node":
-                wk[0] *= 0.5
-                wk[-1] *= 0.5
             shp = [1] * max(len(self.axes) - 1, 1)
-            pos = k if k < j else k - 1
-            shp[pos] = axk.n
-            ds = ds * wk.reshape(shp)
+            shp[k if k < j else k - 1] = self.axes[k].n
+            ds = ds * self.axes[k].weights.reshape(shp)
         return coords, ds, diag[j]
 
     def face_points(self, j, side):
-        coords, _, _ = self.face_info(j, side)
-        if self._chart_point is not None:
-            return self._chart_point(coords)
-        if len(self.axes) == 1:
-            return coords[0], coords[0][..., None] * 0.0
-        return coords[0], np.stack(coords[1:], axis=-1)
+        return self._chart(self.face_info(j, side)[0])
 
 
 def dirichlet_faces(domain):
@@ -220,6 +205,15 @@ class SchrodingerSolver:
     discrete stencil (axis-0 couplings scaled by e^{+/- lam h}), so its
     spectrum and conditioning match the unconjugated solve at any lam; a
     centered first-order term would instead drift like (lam^2 h)^2.
+
+    The operator is assembled once as one sparse matrix on every domain.
+    When the last axis is a periodic angle (at least three points) and no
+    coefficient depends on it, that matrix is block circulant: the rows at
+    angle 0 give the angle-0 block ``C0`` and the coupling ``C1`` to angle 1,
+    and angular frequency ``k`` sees ``C0 + 2 cos(2 pi k / nphi) C1``.  Solves
+    then run per frequency between FFTs over the angle, and frequencies
+    ``k`` and ``nphi - k`` share one factorization.  Every other domain
+    factors the whole interior matrix.
     """
 
     def __init__(self, domain, V1_field=None, lam=0.0):
@@ -227,29 +221,37 @@ class SchrodingerSolver:
         self.V1 = (np.zeros(domain.shape) if V1_field is None
                    else np.asarray(V1_field))
         self.lam = float(lam)
-        self.fast = self._fast_angle_possible()
         self._assemble()
+        self._nphi = domain.axes[-1].n if self._fast_angle_possible() else 0
+        if self._nphi:
+            ray = np.arange(self._A_ii.shape[0] // self._nphi) * self._nphi
+            rows = self._A_ii.tocsr()[ray]
+            C0, C1 = rows[:, ray], rows[:, ray + 1]
+            cos = np.cos(2.0 * np.pi * np.arange(self._nphi // 2 + 1)
+                         / self._nphi)
+            self._lus = [_factor(C0 + 2.0 * c * C1) for c in cos]
+        else:
+            self._lus = [_factor(self._A_ii)]
 
     def _fast_angle_possible(self):
+        """Whether the operator is block circulant in the last axis; below
+        three angles the face and the wrap join the same two neighbours."""
         dom = self.domain
-        if not dom.axes or dom.axes[-1].kind != "periodic":
+        if not dom.axes or dom.axes[-1].kind != "periodic" \
+                or dom.axes[-1].n < 3:
             return False
         fields = [dom.W] + dom.A + [np.asarray(self.V1)]
         return all(np.allclose(f, f[..., :1], atol=1e-13) for f in fields)
 
     def _assemble(self):
-        if self.fast:
-            self._assemble_fast()
-            return
         dom = self.domain
         shape = dom.shape
         N = int(np.prod(shape))
         gid = np.arange(N).reshape(shape)
         rows, cols, vals = [], [], []
         diag = np.zeros(shape)
-        self._bnd_cells = []
-        self._bnd_rows = []
-        self._bnd_vals = []
+        # (cell index, face coupling, face points) per cell-centred face
+        self._faces = []
 
         def add(rsel, csel, v):
             rows.append(gid[rsel].ravel())
@@ -283,15 +285,14 @@ class SchrodingerSolver:
                                      (1, ax.dirichlet_hi)):
                     if not active:
                         continue
-                    coords, _, gjj = dom.face_info(j, side)
+                    coords, _, _ = dom.face_info(j, side)
                     dm = dom.metric_at(coords)
                     a_bnd = (np.sqrt(np.prod(dm, axis=0)) / dm[j]) \
                         / (0.5 * ax.h ** 2)
                     cell = lo if side == 0 else hi
                     diag[cell] += a_bnd
-                    self._bnd_cells.append((j, side))
-                    self._bnd_rows.append(gid[cell].ravel())
-                    self._bnd_vals.append(-a_bnd.ravel())
+                    self._faces.append((cell, a_bnd,
+                                        dom.face_points(j, side)))
 
         diag = diag / dom.W + np.real_if_close(self.V1) * 1.0
         rows = np.concatenate(rows)
@@ -304,53 +305,29 @@ class SchrodingerSolver:
         Afull = Afull + sp.diags(np.ravel(diag).astype(complex))
 
         keep = dom.interior.ravel()
-        self._keep = keep
         self._A_ii = Afull[keep][:, keep].tocsc()
         self._A_ib = Afull[keep][:, ~keep].tocsr()
-        try:
-            self._lu = splu(self._A_ii)
-        except RuntimeError as exc:
-            raise DirichletEigenvalue(str(exc))
-        du = np.abs(self._lu.U.diagonal())
-        if du.min() < 1e-12 * du.max():
-            raise DirichletEigenvalue("pivot collapse: zero is a Dirichlet "
-                                      "eigenvalue within resolution")
 
-    def _assemble_fast(self):
+    def _face_term(self, bdata):
+        """Interior rows of the operator's part on the cell-centred faces,
+        for the Dirichlet datum ``bdata``."""
         dom = self.domain
-        nphi = dom.axes[-1].n
-        hphi = dom.axes[-1].h
-        sub = ProductDomain(dom.axes[:-1])
-        sub.W = dom.W[..., 0]
-        sub.A = [A[..., 0] for A in dom.A[:-1]]
-        self._sub = sub
-        self._nphi = nphi
-        ks = np.arange(nphi)
-        symbols = (2.0 * np.cos(2.0 * np.pi * ks / nphi) - 2.0) / hphi ** 2
-        aphi = dom.A[-1][..., 0] / dom.W[..., 0]
-        V2d = np.asarray(self.V1)[..., 0]
-        # the sub-domain ends in the cell-centred radius: no further split
-        self._subsolvers = [
-            SchrodingerSolver(sub, V1_field=V2d - symbols[k] * aphi,
-                              lam=self.lam)
-            for k in range(nphi)]
+        out = np.zeros(dom.shape, dtype=complex)
+        for cell, a_bnd, (x0f, xpf) in self._faces:
+            fv = np.asarray(bdata(x0f, xpf), dtype=complex)
+            out[cell] -= a_bnd * fv / dom.W[cell]
+        return out[dom.interior]
 
-    # -- boundary data ------------------------------------------------------
-
-    def _eval_bdata(self, bdata):
-        """Node-face full-grid values and per-cell-face arrays."""
-        dom = self.domain
-        node_full = np.zeros(dom.shape, dtype=complex)
-        mask = ~dom.interior
-        if np.any(mask):
-            x0, xp = dom.points()
-            vals = np.asarray(bdata(x0, xp), dtype=complex)
-            node_full[mask] = np.broadcast_to(vals, dom.shape)[mask]
-        cell = {}
-        for (j, side) in dom.cell_faces:
-            x0f, xpf = dom.face_points(j, side)
-            cell[(j, side)] = np.asarray(bdata(x0f, xpf), dtype=complex)
-        return node_full, cell
+    def _lu_solve(self, rhs):
+        """Interior unknowns for the interior right-hand side ``rhs``."""
+        if not self._nphi:
+            return self._lus[0].solve(rhs)
+        nphi = self._nphi
+        rk = np.fft.fft(rhs.reshape(-1, nphi), axis=-1)
+        for b, lu in enumerate(self._lus):
+            ks = [b] if b in (0, nphi - b) else [b, nphi - b]
+            rk[:, ks] = lu.solve(rk[:, ks])
+        return np.fft.ifft(rk, axis=-1).ravel()
 
     # -- solving ------------------------------------------------------------
 
@@ -358,95 +335,42 @@ class SchrodingerSolver:
         """Solve with interior source ``F`` and Dirichlet datum ``bdata``
         (a callable of (x0, xp)); returns the full-grid solution."""
         dom = self.domain
-        if self.fast:
-            Ff = np.zeros(dom.shape, dtype=complex) if F is None \
-                else np.asarray(F, dtype=complex)
-            Fk = np.fft.fft(Ff, axis=-1)
-            if bdata is not None:
-                node_full, cell = self._eval_bdata(bdata)
-                node_k = np.fft.fft(node_full, axis=-1)
-                cell_k = {key: np.fft.fft(v, axis=-1) for key, v in cell.items()}
-            out = np.empty(dom.shape, dtype=complex)
-            for k in range(self._nphi):
-                if bdata is None:
-                    out[..., k] = self._subsolvers[k]._solve_values(
-                        Fk[..., k], None, None)
-                else:
-                    out[..., k] = self._subsolvers[k]._solve_values(
-                        Fk[..., k], node_k[..., k],
-                        {key: v[..., k] for key, v in cell_k.items()})
-            return np.fft.ifft(out, axis=-1)
-        if bdata is None:
-            return self._solve_values(F, None, None)
-        node_full, cell = self._eval_bdata(bdata)
-        return self._solve_values(F, node_full, cell)
-
-    def _solve_values(self, F, node_full, cell):
-        dom = self.domain
-        shape = dom.shape
-        u_full = np.zeros(shape, dtype=complex)
-        rhs_full = np.zeros(shape, dtype=complex)
+        rhs = np.zeros(dom.shape, dtype=complex)
         if F is not None:
-            rhs_full += F
-        rhs = rhs_full[dom.interior]
-        if node_full is not None:
-            u_full[~dom.interior] = node_full[~dom.interior]
-            rhs = rhs - self._A_ib @ u_full[~dom.interior]
-        if cell:
-            N = int(np.prod(shape))
-            W = dom.W.ravel()
-            for (j, side), rows_g, vals in zip(self._bnd_cells,
-                                               self._bnd_rows,
-                                               self._bnd_vals):
-                fv = cell.get((j, side))
-                if fv is None:
-                    continue
-                contrib = np.zeros(N, dtype=complex)
-                contrib[rows_g] = vals * np.ravel(fv) / W[rows_g]
-                rhs = rhs - contrib.reshape(shape)[dom.interior]
-        u_full[dom.interior] = self._lu.solve(np.ascontiguousarray(rhs))
-        return u_full
+            rhs += F
+        rhs = rhs[dom.interior]
+        u = np.zeros(dom.shape, dtype=complex)
+        if bdata is not None:
+            x0, xp = dom.points()
+            vals = np.asarray(bdata(x0, xp), dtype=complex)
+            u[~dom.interior] = np.broadcast_to(vals, dom.shape)[~dom.interior]
+            rhs = rhs - self._A_ib @ u[~dom.interior] - self._face_term(bdata)
+        u[dom.interior] = self._lu_solve(rhs)
+        return u
 
     def apply(self, u_full, bdata=None):
         """Discrete operator applied to a full-grid field (interior rows)."""
         dom = self.domain
-        if self.fast:
-            uk = np.fft.fft(np.asarray(u_full, dtype=complex), axis=-1)
-            if bdata is not None:
-                node_full, cell = self._eval_bdata(bdata)
-                cell_k = {key: np.fft.fft(v, axis=-1) for key, v in cell.items()}
-            out = np.empty(dom.shape, dtype=complex)
-            for k in range(self._nphi):
-                sub_cell = None if bdata is None else \
-                    {key: v[..., k] for key, v in cell_k.items()}
-                out[..., k] = self._subsolvers[k]._apply_values(uk[..., k],
-                                                                sub_cell)
-            return np.fft.ifft(out, axis=-1)
-        cell = None
+        u = np.asarray(u_full, dtype=complex)
+        out = np.zeros(dom.shape, dtype=complex)
+        out[dom.interior] = (self._A_ii @ u[dom.interior]
+                             + self._A_ib @ u[~dom.interior])
         if bdata is not None:
-            _, cell = self._eval_bdata(bdata)
-        return self._apply_values(u_full, cell)
+            out[dom.interior] += self._face_term(bdata)
+        return out
 
-    def _apply_values(self, u_full, cell):
-        dom = self.domain
-        N = int(np.prod(dom.shape))
-        keep = self._keep
-        uflat = np.asarray(u_full, dtype=complex).ravel()
-        out = np.zeros(N, dtype=complex)
-        out[keep] = self._A_ii @ uflat[keep] + self._A_ib @ uflat[~keep]
-        res = out.reshape(dom.shape)
-        if cell:
-            W = dom.W.ravel()
-            for (j, side), rows_g, vals in zip(self._bnd_cells,
-                                               self._bnd_rows,
-                                               self._bnd_vals):
-                fv = cell.get((j, side))
-                if fv is None:
-                    continue
-                add = np.zeros(N, dtype=complex)
-                add[rows_g] = vals * np.ravel(fv) / W[rows_g]
-                res = res + add.reshape(dom.shape)
-        return res
+
+def _factor(M):
+    """Sparse LU of ``M``; a zero Dirichlet eigenvalue raises."""
+    try:
+        lu = splu(M.tocsc())
+    except RuntimeError as exc:
+        raise DirichletEigenvalue(str(exc))
+    du = np.abs(lu.U.diagonal())
+    if du.min() < 1e-12 * du.max():
+        raise DirichletEigenvalue("pivot collapse: zero is a Dirichlet "
+                                  "eigenvalue within resolution")
+    return lu
 
 
 # ---------------------------------------------------------------------------

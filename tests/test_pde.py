@@ -32,14 +32,32 @@ class TestGreenOperators:
         assert np.max(np.abs(u - exact)) <= 2e-4
 
     def test_source_inverts_apply(self):
-        # manufactured interior field with zero trace
-        dom = box_domain((1.0, 1.0), (41, 41))
-        s = SchrodingerSolver(dom, V1_field=0.4 * np.ones(dom.shape))
-        X, Y = dom.mesh
-        w = np.sin(np.pi * X) * np.sin(2 * np.pi * Y) * (1 + 0.3 * X)
-        F = s.apply(w)
-        u = s.solve(F=F)
-        assert np.max(np.abs(u - w)[dom.interior]) <= 1e-11
+        # manufactured interior field with zero trace, on a box and on a disk
+        # whose angular modes run through the per-frequency blocks
+        box = box_domain((1.0, 1.0), (41, 41))
+        X, Y = box.mesh
+        w_box = np.sin(np.pi * X) * np.sin(2 * np.pi * Y) * (1 + 0.3 * X)
+        disk = disk_cylinder_domain(
+            make_chart("flat_disk", n=3, params={"radius": 0.5}), 17, 12, 16)
+        X0, R, PHI = disk.mesh
+        w_disk = np.sin(np.pi * X0) * (1 + 0.3 * X0) * np.cos(R) \
+            * (1 + 0.2 * np.cos(PHI) + 0.1 * np.sin(3 * PHI))
+        for dom, w in ((box, w_box), (disk, w_disk)):
+            s = SchrodingerSolver(dom, V1_field=0.4 * np.ones(dom.shape))
+            F = s.apply(w)
+            u = s.solve(F=F)
+            assert np.max(np.abs(u - w)[dom.interior]) <= 1e-11
+
+        # the disk solver again, with a datum on the rim's cell face
+        def rim(x0, xp):
+            xp = np.asarray(xp)
+            return 1.5 + np.cos(2 * np.asarray(x0)) * xp[..., 0] \
+                + 0.5 * xp[..., 1] ** 2
+        assert np.min(np.abs(rim(*disk.face_points(1, 1)))) >= 1.0
+        u = s.solve(F=F, bdata=rim)
+        res = s.apply(u, bdata=rim) - F
+        assert np.max(np.abs(res[disk.interior])) \
+            <= 1e-11 * np.max(np.abs(F))
 
     def test_linearity(self):
         dom = box_domain((1.0, 1.0), (33, 33))
@@ -68,18 +86,49 @@ class TestGreenOperators:
             assert order == pytest.approx(2.0, abs=0.2)
 
     def test_polar_domain_manufactured(self):
-        ch = make_chart("flat_disk", n=3)
-        errs = []
-        for nx, nr, nphi in ((25, 16, 16), (49, 32, 32)):
-            dom = disk_cylinder_domain(ch, nx, nr, nphi)
-            s = SchrodingerSolver(dom)
+        for radius in (1.0, 0.5):
+            ch = make_chart("flat_disk", n=3, params={"radius": radius})
+            errs = []
+            for nx, nr, nphi in ((25, 16, 16), (49, 32, 32)):
+                dom = disk_cylinder_domain(ch, nx, nr, nphi)
+                s = SchrodingerSolver(dom)
+                X0, R, PHI = dom.mesh
+                w = np.sin(np.pi * X0) * (radius ** 2 - R ** 2)
+                F = np.pi ** 2 * w + 4.0 * np.sin(np.pi * X0)
+                u = s.solve(F=F)
+                errs.append(np.max(np.abs(u - w)))
+            assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.2)
+
+    def test_angular_blocks_match_full_factorization(self):
+        class FullFactorization(SchrodingerSolver):
+            def _fast_angle_possible(self):
+                return False
+
+        def g(x0, xp):
+            xp = np.asarray(xp)
+            return np.cos(2 * np.asarray(x0)) + xp[..., 0] \
+                + 0.5 * xp[..., 1] ** 2
+
+        def rel(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+        for kind, params in (("sphere_cap", {"cap_radius": 1.25}),
+                             ("flat_disk", {"radius": 0.5})):
+            dom = disk_cylinder_domain(make_chart(kind, n=3, params=params),
+                                       17, 12, 16)
             X0, R, PHI = dom.mesh
-            w = np.sin(np.pi * X0) * (1 - R ** 2)
-            F = np.pi ** 2 * np.sin(np.pi * X0) * (1 - R ** 2) \
-                + 4.0 * np.sin(np.pi * X0)
-            u = s.solve(F=F)
-            errs.append(np.max(np.abs(u - w)))
-        assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.2)
+            F = np.sin(np.pi * X0) * (1 + R * np.cos(PHI)
+                                      + 0.3 * np.sin(3 * PHI))
+            V1 = 0.4 * np.ones(dom.shape)
+            for lam in (0.0, 3.0):
+                blk = SchrodingerSolver(dom, V1_field=V1, lam=lam)
+                ful = FullFactorization(dom, V1_field=V1, lam=lam)
+                assert rel(blk.solve(F=F), ful.solve(F=F)) <= 1e-12
+                assert rel(blk.solve(bdata=g), ful.solve(bdata=g)) <= 1e-12
+                u = ful.solve(F=F, bdata=g)
+                assert rel(blk.apply(u, bdata=g), ful.apply(u, bdata=g)) \
+                    <= 1e-12
+                assert blk._nphi == 16 and ful._nphi == 0
 
     def test_dirichlet_eigenvalue_guard(self):
         from scipy.sparse.linalg import eigsh
