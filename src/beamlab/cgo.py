@@ -222,17 +222,11 @@ def metric_jet(fermi, y1, order):
     monos = monomials(m, order)
     design = np.stack([np.prod(offs ** np.array(a), axis=1) for a in monos],
                       axis=1)
-    pinv = np.linalg.pinv(design)
-    jets = [[{a: np.empty(n, dtype=complex) for a in monos}
-             for _ in range(d)] for _ in range(d)]
-    for it, t in enumerate(y1):
-        G = np.stack([fermi.pullback_metric(t, off) for off in offs], axis=0)
-        coef = np.einsum("kb,bij->kij", pinv, G)
-        for i in range(d):
-            for j in range(d):
-                for ia, a in enumerate(monos):
-                    jets[i][j][a][it] = coef[ia, i, j]
-    return [[YJet(m, order, jets[i][j]) for j in range(d)] for i in range(d)]
+    G = fermi.pullback_metric(y1[:, None], offs[None])      # (n, k, d, d)
+    coef = np.einsum("kb,nbij->nkij", np.linalg.pinv(design), G)
+    return [[YJet(m, order, {a: coef[:, ia, i, j].astype(complex)
+                             for ia, a in enumerate(monos)})
+             for j in range(d)] for i in range(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +574,10 @@ def build_amplitude(path, phase, Y, V1=None, N_amp=1, delta=None):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def quasimode_eval(phase, amp, rho, sign, x0, t, ypp, sigma=None):
-    """e^{i sigma x0} V^{+/-} at tube points (the growth factor is excluded)."""
+def quasimode_eval(phase, amp, rho, sign, x0, t, ypp):
+    """e^{i sigma x0} V^{+/-} at tube points, sigma = Im rho (the growth
+    factor is excluded)."""
     rho = complex(rho)
-    sigma = rho.imag if sigma is None else float(sigma)
     x0 = np.asarray(x0)
     t = np.asarray(t)
     ypp = np.asarray(ypp)
@@ -597,7 +591,7 @@ def quasimode_eval(phase, amp, rho, sign, x0, t, ypp, sigma=None):
         rb = np.conj(rho)
         ph = np.exp(-1j * rb * np.conj(theta))
         a = np.conj(v0) + amp.interp(amp.v1_minus, x0, t) / rb
-    return np.exp(1j * sigma * x0) * ph * a * chi
+    return np.exp(1j * rho.imag * x0) * ph * a * chi
 
 
 class TubeDefect:
@@ -607,7 +601,7 @@ class TubeDefect:
     tube points; evaluation per x0 slice only touches the (x0, axis) grids.
     """
 
-    def __init__(self, phase, amp, sign, t, ypp, V1=None, path=None):
+    def __init__(self, phase, amp, sign, t, ypp):
         self.phase = phase
         self.amp = amp
         self.sign = sign
@@ -669,10 +663,6 @@ class TubeDefect:
         else:
             self._v1 = None
 
-        self.V1 = V1
-        self._pts = (_flat_tube_points(path, self.t, self.ypp)
-                     if V1 is not None and path is not None else None)
-
     def _interp_v1(self, which, x0):
         data = self._v1[self.sign][which]
         itp = RegularGridInterpolator((self.amp.x0, self.amp.y1), data,
@@ -704,11 +694,6 @@ class TubeDefect:
             tsig = +1.0
 
         x0 = np.asarray(x0)
-        if self.V1 is not None and self._pts is not None:
-            V1v = self.V1(x0, self._pts)
-        else:
-            V1v = 0.0
-
         if self._v1 is not None:
             v1 = self._interp_v1(0, x0)
             v1_d0 = self._interp_v1(1, x0)
@@ -720,8 +705,8 @@ class TubeDefect:
 
         a_core = v0v + v1 / rr
         T_v1 = 2.0 * v1_d0 + 2j * d1t * v1_d1 + 1j * lapt * v1
-        P_v0 = -Lap + V1v * v0v
-        P_v1 = -(v1_d00 + v1_d11) + V1v * v1
+        P_v0 = -Lap
+        P_v1 = -(v1_d00 + v1_d11)
         grad_pair = np.einsum("...j,...j->...", gt_off, self.grad_chi)
         gradv_pair = np.einsum("...j,...j->...", gv_off, self.grad_chi)
 
@@ -760,34 +745,28 @@ def tube_grid(phase, width, ny1, ns):
 
 def quasimode_lp_norm(phase, amp, rho, sign, chart, fermi=None, p=2,
                       ny1=200, nypp=121, nx0=33):
-    """L^p norm over I x tube with the true volume element."""
+    """L^p norm over I x tube, with the volume element of ``fermi``
+    (1 without it)."""
     a0, b0 = chart.interval
     y1, T, ypp, wgt = tube_grid(phase, amp.delta, ny1, nypp)
     x0 = np.linspace(a0, b0, nx0)
     vals = quasimode_eval(phase, amp, rho, sign,
                           x0[:, None, None], T[None], ypp[None])
-    if fermi is not None and not chart.metric.is_flat:
-        vol = np.empty(T.shape)
-        for i, tv in enumerate(y1):
-            for j in range(T.shape[1]):
-                g = fermi.pullback_metric(tv, ypp[i, j])
-                vol[i, j] = math.sqrt(max(np.linalg.det(g), 0.0))
-    else:
-        vol = np.ones(T.shape)
+    vol = np.ones(T.shape) if fermi is None else fermi.volume(T, ypp)
     dy1 = y1[1] - y1[0]
     dx0 = x0[1] - x0[0]
     return float((np.sum(np.abs(vals) ** p * (vol * wgt[:, None])[None])
                   * dx0 * dy1) ** (1.0 / p))
 
 
-def conjugated_defect_norm(phase, amp, rho, sign, chart, V1=None, path=None,
-                           ny1=200, nypp=121, nx0=33):
+def conjugated_defect_norm(phase, amp, rho, sign, chart, ny1=200, nypp=121,
+                           nx0=33):
     """L^2 norm of the beam defect over the tube (flat charts)."""
     if not chart.metric.is_flat:
         raise UnsupportedOrder("defect evaluation is exact on flat charts only")
     a0, b0 = chart.interval
     y1, T, ypp, wgt = tube_grid(phase, amp.delta, ny1, nypp)
-    defect = TubeDefect(phase, amp, sign, T, ypp, V1=V1, path=path)
+    defect = TubeDefect(phase, amp, sign, T, ypp)
     x0 = np.linspace(a0, b0, nx0)
     total = 0.0
     for x in x0:
@@ -824,16 +803,6 @@ def _flat_tube_coords(path, XP):
     return t, ypp
 
 
-def _flat_tube_points(path, t, ypp):
-    """Chart points at axis coordinates ``t`` and offsets ``ypp``; the
-    inverse of ``_flat_tube_coords``."""
-    base = path.point(0.0)
-    vel = path.velocity(0.0)
-    frame = path.frame_at(0.0)
-    return (base + t[..., None] * vel
-            + np.einsum("...m,dm->...d", ypp, frame))
-
-
 def _axis_taper(path, phase, t):
     """Smooth in the axis coordinate: 1 over the chart, 0 before the traced
     window ends.  Keeps the gridded beam smooth on the torus without touching
@@ -862,8 +831,8 @@ def quasimode_on_cylinder(phase, amp, rho, sign, grid, path):
     return out
 
 
-def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1, V1_field=None,
-                 V1=None, compute_pde_residual=False):
+def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1,
+                 compute_pde_residual=False):
     """Complete the beam to an exponential solution on a flat chart.
 
     The analytic defect is evaluated on the cylinder grid, cut to a smooth
@@ -885,18 +854,18 @@ def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1, V1_field=None,
         & (np.sum(ypp ** 2, axis=-1) <= amp.delta ** 2) & (collar > 0)
     idx = np.where(inside)
     tv, pv, cv = t[idx], ypp[idx], collar[idx]
-    defect = TubeDefect(phase, amp, sign, tv, pv, V1=V1, path=path)
+    defect = TubeDefect(phase, amp, sign, tv, pv)
     source = np.zeros(grid.shape, dtype=complex)
     for i, x0v in enumerate(grid.x0):
         source[i][idx] = -defect.eval(np.full(tv.shape, x0v), rho) * cv
     lam_signed = lam if sign > 0 else -lam
-    R, report = conjugated_solve(source, grid, lam_signed, V1_field=V1_field)
+    R, report = conjugated_solve(source, grid, lam_signed)
     sol = CgoSolution(sign=sign, rho=rho, phase=phase, amp=amp,
                       remainder=R, grid=grid, report=report)
     if compute_pde_residual:
         from .cylinder import apply_conjugated
         U = quasimode_on_cylinder(phase, amp, rho, sign, grid, path) + R
-        res = apply_conjugated(U, grid, lam_signed, V1_field=V1_field)
+        res = apply_conjugated(U, grid, lam_signed)
         mask = grid.physical_mask()
         disk = r <= chart.radius
         sel = mask[:, None, None] & disk[None]

@@ -66,17 +66,20 @@ class CylinderGrid:
         return (self.x0 >= a0 - 1e-12) & (self.x0 <= b0 + 1e-12)
 
 
-def torus_length(chart, torus_margin=0.5):
-    """Side length of the flat torus that encloses the chart disk."""
-    return 2.0 * (chart.radius + torus_margin)
+def torus_length(chart):
+    """Side length of the flat torus that encloses the chart disk with a
+    margin of 0.5 on every side."""
+    return 2.0 * (chart.radius + 0.5)
 
 
-def make_cylinder_grid(chart, nx0=128, ntrans=64, x0_pad=None, torus_margin=0.5):
+def make_cylinder_grid(chart, nx0=128, ntrans=64):
+    """Cylinder grid over the interval padded by half its length on each
+    side, times the torus of ``torus_length``."""
     a0, b0 = chart.interval
-    pad = 0.5 * (b0 - a0) if x0_pad is None else float(x0_pad)
+    pad = 0.5 * (b0 - a0)
     x0 = np.linspace(a0 - pad, b0 + pad, nx0, endpoint=False)
     d = chart.trans_dim
-    L = torus_length(chart, torus_margin)
+    L = torus_length(chart)
     axes = tuple(np.linspace(-L / 2, L / 2, ntrans, endpoint=False)
                  for _ in range(d))
     # cutoff: 1 on [a0, b0], smooth roll-off inside the padding

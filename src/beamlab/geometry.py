@@ -160,11 +160,10 @@ def _bump_metric(dim, amp, width, center):
 
 @dataclass(frozen=True)
 class CtaChart:
-    """Product chart ``I x Omega`` with transversal metric and conformal factor.
+    """Product chart ``I x Omega`` with its transversal metric.
 
     ``radius`` bounds the transversal chart (a coordinate disk); the metric is
     analytic on a strictly larger domain, which supplies the extension margin.
-    ``conformal`` is the full factor c(x0, x') (None means c == 1).
     """
 
     kind: str
@@ -172,7 +171,6 @@ class CtaChart:
     interval: tuple
     metric: ConformalMetric
     radius: float
-    conformal: object = None
     extension_margin: float = 0.1
     tube_radius: float = 0.2
     params: dict = field(default_factory=dict)
@@ -457,7 +455,9 @@ def _variation_rhs(metric):
         gam = metric.christoffel(x)
         dgam = metric.dchristoffel(x)
         acc = -np.einsum("...kij,...i,...j->...k", gam, v, v)
-        Jacc = (-np.einsum("...lkij,...lm,...i,...j->...km", dgam, J, v, v)
+        dgam_vv = np.einsum("...lki,...i->...lk",
+                            np.einsum("...lkij,...j->...lki", dgam, v), v)
+        Jacc = (-np.einsum("...lk,...lm->...km", dgam_vv, J)
                 - 2.0 * np.einsum("...kij,...i,...jm->...km", gam, v, Jd))
         return v, acc, Jd, Jacc
     return f
@@ -465,15 +465,23 @@ def _variation_rhs(metric):
 
 def _shoot(f, y0):
     """State at s = 1 of ``y' = f(s, y)`` started at s = 0."""
-    s = np.linspace(0.0, 1.0, FERMI_STEPS + 1)
-    return tuple(a[-1] for a in rk4_sweep(f, s, y0, 0))
+    h = 1.0 / FERMI_STEPS
+    y = tuple(np.asarray(a) for a in y0)
+    for i in range(FERMI_STEPS):
+        y = rk4_step(f, i * h, y, h)
+    return y
 
 
 class FermiChart:
-    """Tube coordinates (y1, y'') around a geodesic on the transversal chart.
+    """Tube coordinates (y1, y'') around a geodesic on the transversal chart:
+    the one map from tube coordinates to chart points, with its volume
+    element.
 
-    Forward map: ``F(y1, y'') = exp_{gamma(y1)}(sum_a y''_a e_a(y1))``.
-    The x0 factor passes through unchanged and is omitted here.
+    Forward map: ``F(y1, y'') = exp_{gamma(y1)}(sum_a y''_a e_a(y1))``; on a
+    flat chart the straight line through ``gamma(0)`` with the t = 0 frame.
+    The x0 factor passes through unchanged and is omitted here.  Every method
+    broadcasts over leading axes: ``y1`` of shape (...) against ``ypp`` of
+    shape (..., m).
     """
 
     def __init__(self, path, delta_prime=None):
@@ -482,45 +490,56 @@ class FermiChart:
         self.delta_prime = (path.chart.tube_radius if delta_prime is None
                             else float(delta_prime))
 
-    # -- forward ------------------------------------------------------------
-
-    def forward(self, y1, ypp):
-        """Map Fermi coordinates to chart points.  Batched over leading dims."""
+    def _axis(self, y1, ypp):
+        """Axis point, velocity and frame at ``y1`` and the initial offset
+        ``w = e(y1) y''``, broadcast to the common leading shape."""
         y1 = np.asarray(y1, dtype=float)
         ypp = np.asarray(ypp, dtype=float)
-        base = self.path.point(y1)
-        frame = self.path.frame_at(y1)
-        w = np.einsum("...dm,...m->...d", frame, ypp)
+        shape = np.broadcast_shapes(y1.shape, ypp.shape[:-1])
+        y1 = np.broadcast_to(y1, shape)
+        ypp = np.broadcast_to(ypp, shape + ypp.shape[-1:])
+        path = self.path
+        t = 0.0 if self.metric.is_flat else y1
+        base, vel, frame = path.point(t), path.velocity(t), path.frame_at(t)
+        if self.metric.is_flat:
+            base = base + y1[..., None] * vel
+            vel = np.broadcast_to(vel, base.shape)
+            frame = np.broadcast_to(frame, base.shape + frame.shape[-1:])
+        return base, vel, frame, np.einsum("...m,...dm->...d", ypp, frame)
+
+    def forward(self, y1, ypp):
+        """Map Fermi coordinates to chart points."""
+        base, _, _, w = self._axis(y1, ypp)
         if self.metric.is_flat:
             return base + w
         return _shoot(_geodesic_rhs(self.metric), (base, w))[0]
 
     def _point_and_jacobian(self, y1, ypp):
-        """F and d F / d(y1, y'') at a single Fermi point."""
-        y1 = float(y1)
-        ypp = np.asarray(ypp, dtype=float)
-        d = self.metric.dim
-        m = d - 1
-        base = self.path.point(y1)
-        vel = self.path.velocity(y1)
-        frame = self.path.frame_at(y1)
-        w = frame @ ypp
+        """F and d F / d(y1, y''), the latter of shape (..., d, m + 1)."""
+        base, vel, frame, w = self._axis(y1, ypp)
         if self.metric.is_flat:
-            return base + w, np.column_stack([vel, frame])
+            return base + w, np.concatenate([vel[..., None], frame], axis=-1)
         gam = self.metric.christoffel(base)
-        J0 = np.zeros((d, m + 1))
-        Jd0 = np.zeros((d, m + 1))
-        J0[:, 0] = vel
+        J0 = np.concatenate([vel[..., None], np.zeros_like(frame)], axis=-1)
         # coordinate initial rate to make the covariant initial rate vanish
-        Jd0[:, 0] = -np.einsum("kij,i,j->k", gam, w, vel)
-        Jd0[:, 1:] = frame
+        rate = -np.einsum("...kij,...i,...j->...k", gam, w, vel)
+        Jd0 = np.concatenate([rate[..., None], frame], axis=-1)
         x, _, J, _ = _shoot(_variation_rhs(self.metric), (base, w, J0, Jd0))
         return x, J
 
     def pullback_metric(self, y1, ypp):
         """Components of g in Fermi coordinates at (y1, y'')."""
         p, J = self._point_and_jacobian(y1, ypp)
-        return J.T @ self.metric.g(p) @ J
+        return np.swapaxes(J, -1, -2) @ self.metric.g(p) @ J
+
+    def volume(self, y1, ypp):
+        """Volume element ``sqrt(det g_F)`` at (y1, y''); exactly 1 on a flat
+        chart."""
+        if self.metric.is_flat:
+            return np.ones(np.broadcast(np.asarray(y1),
+                                        np.asarray(ypp)[..., 0]).shape)
+        g = self.pullback_metric(y1, ypp)
+        return np.sqrt(np.maximum(np.linalg.det(g), 0.0))
 
     # -- inverse ------------------------------------------------------------
 

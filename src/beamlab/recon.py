@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .cgo import (_flat_tube_points, build_amplitude, build_phase,
-                  quasimode_eval, tube_grid)
+from .cgo import build_amplitude, build_phase, quasimode_eval, tube_grid
 from .errors import ModeMismatch
-from .geometry import trace_geodesic
+from .geometry import FermiChart, trace_geodesic
 from .jacobi import curvature_along, epsilon_family, real_pair, riccati_path
 from .raytransform import _simpson_weights, invert_j1_moments, invert_j2_point
 
@@ -131,7 +130,9 @@ def tube_interaction(bundle, field_fn, phases, amps, rhos, signs, powers,
     """lambda^{d/2} * integral of field * prod_k q_k^{p_k} over I x tube.
 
     ``q_k`` are beam factors (growth removed), evaluated from shared tube
-    grids; the x0 integral runs over the interval with Simpson weights.
+    grids; the x0 integral runs over the interval with Simpson weights.  The
+    tube grid is mapped to the chart and weighted by the Fermi chart of the
+    bundle's geodesic.
     """
     chart = bundle.chart
     a0, b0 = chart.interval
@@ -141,7 +142,8 @@ def tube_interaction(bundle, field_fn, phases, amps, rhos, signs, powers,
     wx0 = _simpson_weights(nx0, x0[1] - x0[0])
     width = _beam_width(phases[0], amps[0], lam_scale, ny1)
     y1, T, ypp, wgt = tube_grid(phases[0], width, ny1, ns)
-    pts = _flat_tube_points(bundle.path, T, ypp)
+    fermi = FermiChart(bundle.path)
+    pts = fermi.forward(T, ypp)
     dy1 = y1[1] - y1[0]
 
     prod = None
@@ -155,7 +157,7 @@ def tube_interaction(bundle, field_fn, phases, amps, rhos, signs, powers,
     fv = fv * chart.inside(pts)[None]
     integrand = fv * prod
     val = np.einsum("i,ijk->jk", wx0, integrand)
-    val = np.sum(val * wgt[:, None]) * dy1
+    val = np.sum(val * (fermi.volume(T, ypp) * wgt[:, None])) * dy1
     d = bundle.chart.trans_dim - 1
     return complex(lam_scale ** (d / 2.0) * val)
 
@@ -190,8 +192,7 @@ def _calibration(bundle, Y, eps):
 # moment data
 # ---------------------------------------------------------------------------
 
-def dn_moment_v3(task, bundle, eps, sigma, field_fn=None, lams=None,
-                 n_amp=0):
+def dn_moment_v3(task, bundle, eps, sigma, field_fn=None, lams=None):
     """Frequency-ladder interaction data for an (m >= 3)-fold family.
 
     Synthetic mode: evaluates the tube integral of
@@ -199,8 +200,7 @@ def dn_moment_v3(task, bundle, eps, sigma, field_fn=None, lams=None,
     limit together with the calibrated transform datum.
     """
     lams = task.lams if lams is None else lams
-    V1 = task.V.coeff(1) if (n_amp and 1 in task.V.coeffs) else None
-    Y, phase, amp = bundle.beam(eps, task.N, task.delta, n_amp, V1)
+    Y, phase, amp = bundle.beam(eps, task.N, task.delta)
     if field_fn is None:
         field_fn = task.V.coeff(task.m)
     vals = []

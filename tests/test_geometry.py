@@ -176,6 +176,51 @@ class TestFermi:
                   - self.fc.pullback_metric(t, np.array([-h]))) / (2 * h)
             assert np.max(np.abs(d2)) <= 1e-4
 
+    @staticmethod
+    def tube_points():
+        """A (k, P) grid of axis coordinates and offsets, as ``tube_grid``
+        builds it: the offsets vary from one axis sample to the next."""
+        y1 = np.array([-0.4, 0.0, 0.25, 0.5])
+        s = np.linspace(-1.0, 1.0, 5)
+        T = np.broadcast_to(y1[:, None], (4, 5))
+        ypp = (0.05 + 0.1 * np.abs(y1))[:, None, None] * s[None, :, None]
+        return T, ypp
+
+    @pytest.mark.parametrize("kind, params", [
+        ("flat_disk", {}), ("sphere_cap", {"cap_radius": 1.2}),
+        ("conformal_disk", {})])
+    def test_batched_map_matches_single_points(self, kind, params):
+        ch = make_chart(kind, n=3, params=params)
+        x = np.array([0.1, -0.05])
+        theta = np.array([0.6, 0.8])
+        theta = theta / ch.metric.norm(x, theta)
+        fc = FermiChart(trace_geodesic(ch, x, theta))
+        T, ypp = self.tube_points()
+        pts = fc.forward(T, ypp)
+        g = fc.pullback_metric(T, ypp)
+        vol = fc.volume(T, ypp)
+        assert pts.shape == (4, 5, 2)
+        assert g.shape == (4, 5, 2, 2)
+        assert vol.shape == (4, 5)
+        for i, j in np.ndindex(T.shape):
+            pij = fc.forward(T[i, j], ypp[i, j])
+            gij = fc.pullback_metric(T[i, j], ypp[i, j])
+            assert np.max(np.abs(pts[i, j] - pij)) <= 1e-13
+            assert np.max(np.abs(g[i, j] - gij)) <= 1e-13
+            assert abs(vol[i, j] - np.sqrt(np.linalg.det(gij))) <= 1e-13
+        if kind == "flat_disk":
+            assert np.all(vol == 1.0)
+
+    def test_flat_forward_is_affine(self):
+        # a straight geodesic off the coordinate axes: the map is the line
+        # through gamma(0) with the t = 0 frame, to the last bit
+        ch = make_chart("flat_disk", n=3)
+        p = trace_geodesic(ch, [0.25, 0.15], [0.6, 0.8])
+        T, ypp = self.tube_points()
+        expect = (p.point(0.0) + T[..., None] * p.velocity(0.0)
+                  + np.einsum("...m,dm->...d", ypp, p.frame_at(0.0)))
+        assert np.array_equal(FermiChart(p).forward(T, ypp), expect)
+
     def test_outside_tube(self):
         with pytest.raises(OutsideTube):
             self.fc.inverse(self.fc.forward(np.array(0.0),
