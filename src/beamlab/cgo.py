@@ -8,7 +8,8 @@ branch, higher principal orders solve axis transport, and the first
 subprincipal correction solves a Cauchy-Riemann equation in the (x0, axis)
 plane by convolution with the Cauchy kernel.  Assembly evaluates the analytic
 defect of the truncated beam (cutoff commutators included) and feeds it to
-the cylinder right inverse, which returns the remainder.
+the cylinder right inverse, which returns the remainder; beam plus remainder
+is the exponential solution on the cylinder.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
-from .cylinder import conjugated_solve
+from .cylinder import apply_conjugated, conjugated_solve
 from .errors import UnsupportedOrder
 from .geometry import rk4_sweep
 
@@ -783,24 +784,30 @@ def conjugated_defect_norm(phase, amp, rho, sign, chart, ny1=200, nypp=121,
 
 @dataclass
 class CgoSolution:
-    sign: int
-    rho: complex
-    phase: PhaseJet
-    amp: AmplitudeJet
-    remainder: np.ndarray | None = None
-    grid: object = None
-    report: object = None
-    pde_residual: float | None = None
+    """One beam completed to an exponential solution on the cylinder grid.
 
+    ``field`` is U = Q + R with the growth factor removed: Q the beam,
+    tapered along its axis, and R the remainder from the right inverse.
+    ``report`` is the solve's ``SolveReport`` and ``pde_residual`` the
+    relative residual of the conjugated equation for U over the chart.
+    Calling the solution evaluates U at chart points ``(x0, x')`` by linear
+    interpolation, 0 off the grid.
+    """
+    field: np.ndarray
+    remainder: np.ndarray
+    grid: object
+    report: object
+    pde_residual: float
 
-def _flat_tube_coords(path, XP):
-    base = path.point(0.0)
-    vel = path.velocity(0.0)
-    frame = path.frame_at(0.0)
-    diff = XP - base
-    t = diff @ vel
-    ypp = diff @ frame
-    return t, ypp
+    def __post_init__(self):
+        self._interp = RegularGridInterpolator(
+            (self.grid.x0,) + tuple(self.grid.trans_axes), self.field,
+            bounds_error=False, fill_value=0.0)
+
+    def __call__(self, x0, xp):
+        xp = np.asarray(xp)
+        x0b = np.broadcast_to(np.asarray(x0), xp[..., 0].shape)
+        return self._interp(np.concatenate([x0b[..., None], xp], axis=-1))
 
 
 def _axis_taper(path, phase, t):
@@ -815,29 +822,14 @@ def _axis_taper(path, phase, t):
     return smooth_cutoff(s)
 
 
-def quasimode_on_cylinder(phase, amp, rho, sign, grid, path):
-    mesh = grid.mesh()
-    XP = np.stack(mesh[1:], axis=-1)
-    t, ypp = _flat_tube_coords(path, XP[0])
-    inside = (np.abs(t) <= phase.y1[-1] - 1e-9) \
-        & (np.sum(ypp ** 2, axis=-1) <= amp.delta ** 2)
-    out = np.zeros(grid.shape, dtype=complex)
-    idx = np.where(inside)
-    tv, pv = t[idx], ypp[idx]
-    taper = _axis_taper(path, phase, tv)
-    for i, x0v in enumerate(grid.x0):
-        out[i][idx] = quasimode_eval(phase, amp, rho, sign,
-                                     np.full(tv.shape, x0v), tv, pv) * taper
-    return out
-
-
-def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1,
-                 compute_pde_residual=False):
+def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1):
     """Complete the beam to an exponential solution on a flat chart.
 
-    The analytic defect is evaluated on the cylinder grid, cut to a smooth
+    One pass maps the grid to tube coordinates; over the tube the beam Q is
+    gridded with its axis taper, and the analytic defect, cut to a smooth
     collar just outside the chart (a compact extension of its restriction to
-    the manifold), and handed to the cylinder right inverse.
+    the manifold), is handed to the cylinder right inverse for the
+    remainder R.  Returns the ``CgoSolution`` of U = Q + R.
     """
     chart = path.chart
     if not chart.metric.is_flat:
@@ -845,32 +837,35 @@ def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1,
     rho = complex(lam, sigma)
     mesh = grid.mesh()
     XP = np.stack(mesh[1:], axis=-1)
-    t, ypp = _flat_tube_coords(path, XP[0])
+    # flat chart: tube coordinates along the line through gamma(0)
+    diff = XP[0] - path.point(0.0)
+    t = diff @ path.velocity(0.0)
+    ypp = diff @ path.frame_at(0.0)
     width = 0.5 * chart.extension_margin
     r = np.sqrt(np.sum(XP[0] ** 2, axis=-1))
     collar = smooth_cutoff(0.5 * (1.0 + np.clip((r - chart.radius) / width,
                                                 0.0, None)))
-    inside = (np.abs(t) <= phase.y1[-1] - 1e-9) \
-        & (np.sum(ypp ** 2, axis=-1) <= amp.delta ** 2) & (collar > 0)
-    idx = np.where(inside)
+    tube = (np.abs(t) <= phase.y1[-1] - 1e-9) \
+        & (np.sum(ypp ** 2, axis=-1) <= amp.delta ** 2)
+    iq = np.where(tube)
+    tq, pq = t[iq], ypp[iq]
+    taper = _axis_taper(path, phase, tq)
+    idx = np.where(tube & (collar > 0))
     tv, pv, cv = t[idx], ypp[idx], collar[idx]
     defect = TubeDefect(phase, amp, sign, tv, pv)
+    Q = np.zeros(grid.shape, dtype=complex)
     source = np.zeros(grid.shape, dtype=complex)
     for i, x0v in enumerate(grid.x0):
+        Q[i][iq] = quasimode_eval(phase, amp, rho, sign,
+                                  np.full(tq.shape, x0v), tq, pq) * taper
         source[i][idx] = -defect.eval(np.full(tv.shape, x0v), rho) * cv
     lam_signed = lam if sign > 0 else -lam
     R, report = conjugated_solve(source, grid, lam_signed)
-    sol = CgoSolution(sign=sign, rho=rho, phase=phase, amp=amp,
-                      remainder=R, grid=grid, report=report)
-    if compute_pde_residual:
-        from .cylinder import apply_conjugated
-        U = quasimode_on_cylinder(phase, amp, rho, sign, grid, path) + R
-        res = apply_conjugated(U, grid, lam_signed)
-        mask = grid.physical_mask()
-        disk = r <= chart.radius
-        sel = mask[:, None, None] & disk[None]
-        sel[:3] = sel[-3:] = False
-        num = np.linalg.norm(res[sel])
-        den = np.linalg.norm(U[sel]) * abs(rho) ** 2
-        sol.pde_residual = float(num / max(den, 1e-300))
-    return sol
+    U = Q + R
+    res = apply_conjugated(U, grid, lam_signed)
+    sel = grid.physical_mask()[:, None, None] & (r <= chart.radius)[None]
+    sel[:3] = sel[-3:] = False
+    num = np.linalg.norm(res[sel])
+    den = np.linalg.norm(U[sel]) * abs(rho) ** 2
+    return CgoSolution(field=U, remainder=R, grid=grid, report=report,
+                       pde_residual=float(num / max(den, 1e-300)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BeamlabError, ConfigInvalid
-from .geometry import chart_from_config, trace_geodesic
+from .geometry import FermiChart, chart_from_config, trace_geodesic
 from .jacobi import curvature_along, epsilon_family, real_pair, riccati_path
 from .potentials import field_from_config, series_from_config
 from .raytransform import (GeodesicSample, forward_curve, invert_j1_moments,
@@ -226,11 +226,13 @@ def task_cgo_rates(cfg, chart, outdir):
     lams = [float(v) for v in block.get("lams", [20.0, 40.0, 80.0, 160.0])]
     phase = build_phase(path, Y, N=N)
     amp = build_amplitude(path, phase, Y, N_amp=1)
+    fermi = FermiChart(path)
     rows = []
     for lam in lams:
         rho = complex(lam, sigma)
         rows.append((lam, "quasimode_l2",
-                     quasimode_lp_norm(phase, amp, rho, +1, chart)))
+                     quasimode_lp_norm(phase, amp, rho, +1, chart,
+                                       fermi=fermi)))
         if chart.metric.is_flat:
             rows.append((lam, "defect_l2",
                          conjugated_defect_norm(phase, amp, rho, +1, chart)))

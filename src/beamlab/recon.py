@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
-from .cgo import build_amplitude, build_phase, quasimode_eval, tube_grid
+from .cgo import (assemble_cgo, build_amplitude, build_phase, quasimode_eval,
+                  tube_grid)
 from .errors import ModeMismatch
 from .geometry import FermiChart, trace_geodesic
 from .jacobi import curvature_along, epsilon_family, real_pair, riccati_path
@@ -63,7 +63,8 @@ class ReconTask:
 
 @dataclass
 class BeamBundle:
-    """Traced geodesic with curvature and family data for one target point."""
+    """Traced geodesic with curvature and family data for one target point;
+    memoizes the beams built on it and their cylinder completions."""
 
     chart: object
     path: object
@@ -71,6 +72,7 @@ class BeamBundle:
     pair: tuple
     anchor: str = "point"
     _beams: dict = field(default_factory=dict)
+    _cgo: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, chart, point=None, theta=None, h=2e-3, margin=None,
@@ -100,6 +102,20 @@ class BeamBundle:
                                   N_amp=n_amp, delta=delta)
             self._beams[key] = (Y, phase, amp)
         return self._beams[key]
+
+    def cgo_pair(self, eps, N, delta, lam, sigma, grid):
+        """The +lambda and -lambda solutions of ``beam(eps, N, delta,
+        n_amp=1)`` completed on a cylinder grid, memoized."""
+        # keyed on id(grid): the entry keeps the grid alive, so its identity
+        # cannot pass to a new object while the entry exists
+        key = (round(float(eps), 14), N, delta, float(lam), float(sigma),
+               id(grid))
+        if key not in self._cgo:
+            _, phase, amp = self.beam(eps, N, delta, n_amp=1)
+            self._cgo[key] = (grid, tuple(
+                assemble_cgo(self.path, phase, amp, lam, sigma, grid, sign=s)
+                for s in (+1, -1)))
+        return self._cgo[key][1]
 
 
 def prepare_bundle(task, anchor="point"):
@@ -467,14 +483,17 @@ def _check_sampling(name, axis, h, k, lam):
             f"k*h < pi needs spacing < {math.pi / k:.4g}")
 
 
-def full_dn_moment_v3(task, bundle, eps, sigma, lam, nx0=96, nr=32, nphi=64,
-                      grid=None, ntrans=None, return_parts=False):
+def full_dn_moment_v3(task, bundle, eps, sigma, lam, grid, nx0=96, nr=32,
+                      nphi=64):
     """Interaction datum through the discrete boundary map at one rung.
 
-    Builds the beam pair with its remainder on the cylinder, solves the
-    conjugated linearization cascade on the disk grid, forms the boundary
-    pairing, subtracts the companion term, and scales like the synthetic
-    route.  All fields carry their exponential growth analytically.
+    Takes the beam pair completed on the cylinder ``grid`` (a
+    ``make_cylinder_grid`` grid; the bundle completes each pair once per
+    grid), solves the conjugated linearization cascade on the disk grid,
+    forms the boundary pairing, subtracts the companion term, and scales like
+    the synthetic route.  All fields carry their exponential growth
+    analytically.  Returns ``(value, synthetic)``, the boundary datum and the
+    volume integral of the same discrete beams.
 
     Raises ``ModeMismatch`` before any beam is built when a field would alias:
     the highest wavenumber k (lam, or 2 lam with a quadratic coefficient on
@@ -482,20 +501,11 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, nx0=96, nr=32, nphi=64,
     cylinder and the radial spacing on the disk.  Accuracy inside that limit
     is a matter of refinement.
     """
-    from .cgo import assemble_cgo, quasimode_on_cylinder
-    from .cylinder import make_cylinder_grid, torus_length
     from .pde import SchrodingerSolver, disk_cylinder_domain, greens_pairing
 
     chart = task.chart
     if not chart.metric.is_flat:
         raise ModeMismatch("the boundary route is implemented on flat charts")
-    cyl = grid
-    if cyl is None:
-        if ntrans is None:
-            # ~6 nodes per beam wavelength on the torus, in multiples of 32
-            per_len = 6 * lam * torus_length(chart) / (2 * np.pi)
-            ntrans = max(128, int(np.ceil(per_len / 32) * 32))
-        cyl = make_cylinder_grid(chart, nx0=96, ntrans=ntrans)
     dom = disk_cylinder_domain(chart, nx0, nr, nphi)
     x0g, xpg = dom.points()
     V2f = task.V.eval_k(2, x0g, xpg) if 2 in task.V.coeffs else None
@@ -505,46 +515,24 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, nx0=96, nr=32, nphi=64,
     # the 2 lam conjugated solve on the disk grid
     _check_sampling("disk", "radial", chart.radius / nr,
                     lam if V2f is None else 2 * lam, lam)
-    _check_sampling("cylinder", "torus", cyl.dtrans, lam, lam)
+    _check_sampling("cylinder", "torus", grid.dtrans, lam, lam)
     d = chart.trans_dim - 1
-    _, phase, amp = bundle.beam(eps, task.N, task.delta, n_amp=1)
-    rho = complex(lam, sigma)
-    sol_p = assemble_cgo(bundle.path, phase, amp, lam, sigma, cyl, sign=+1)
-    sol_m = assemble_cgo(bundle.path, phase, amp, lam, sigma, cyl, sign=-1)
-
-    beams = {}
-    for sgn, sol in ((+1, sol_p), (-1, sol_m)):
-        Q = quasimode_on_cylinder(phase, amp, rho, sgn, cyl, bundle.path)
-        beams[sgn] = RegularGridInterpolator(
-            (cyl.x0, cyl.trans_axes[0], cyl.trans_axes[1]), Q + sol.remainder,
-            bounds_error=False, fill_value=0.0)
-
-    def g_field(sgn):
-        def fn(x0, xp):
-            xp = np.asarray(xp)
-            x0b = np.broadcast_to(np.asarray(x0), xp[..., 0].shape)
-            return beams[sgn](np.stack([x0b, xp[..., 0], xp[..., 1]], axis=-1))
-        return fn
+    gp, gm = bundle.cgo_pair(eps, task.N, task.delta, lam, sigma, grid)
 
     V1f = task.V.eval_k(1, x0g, xpg) if 1 in task.V.coeffs else None
     sol_plus = SchrodingerSolver(dom, V1_field=V1f, lam=+lam)
     sol_minus = SchrodingerSolver(dom, V1_field=V1f, lam=-lam)
 
-    gp = g_field(+1)
-    gm = g_field(-1)
     w1 = sol_plus.solve(bdata=gp)            # conjugated first-order solves
     w3 = sol_minus.solve(bdata=gm)
     V3f = task.V.eval_k(task.m, x0g, xpg)
-    parts = {}
     if V2f is not None:
         sol_2lam = SchrodingerSolver(dom, V1_field=V1f, lam=2 * lam)
         sol_zero = SchrodingerSolver(dom, V1_field=V1f, lam=0.0)
         w12 = sol_2lam.solve(F=-V2f * w1 * w1)
         w13 = sol_zero.solve(F=-V2f * w1 * w3)
-        rhs_top = -(V3f * w1 * w1 * w3
-                    + V2f * (2.0 * w1 * w13 + w3 * w12))
         H_tilde = V2f * (2.0 * w1 * w13 + w3 * w12)
-        parts["H"] = H_tilde
+        rhs_top = -(V3f * w1 * w1 * w3 + H_tilde)
     else:
         rhs_top = -V3f * w1 * w1 * w3
         H_tilde = np.zeros(dom.shape, dtype=complex)
@@ -560,12 +548,6 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, nx0=96, nr=32, nphi=64,
     gmv = gm(x0g, xpg)
     volume = complex(np.sum(dom.quad * V3f * (gpv * gmv) ** 2))
     synthetic = lam ** (d / 2.0) * volume
-    if return_parts:
-        parts.update({"boundary": boundary, "companion": companion,
-                      "w1": w1, "w3": w3, "domain": dom,
-                      "pde_residuals": (sol_p.report.residual_l2,
-                                        sol_m.report.residual_l2)})
-        return value, synthetic, parts
     return value, synthetic
 
 

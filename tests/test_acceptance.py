@@ -388,10 +388,11 @@ def test_criterion_11_dual_path():
     task = ReconTask(chart=ch, V=PotentialSeries({3: V3fn}), m=3, delta=0.7)
     bundle = prepare_bundle(task, anchor="point")
     lam = 40.0
-    val_c, _ = full_dn_moment_v3(task, bundle, 0.2, 0.25, lam,
-                                 nx0=48, nr=32, nphi=32, ntrans=160)
-    val_f, syn_f = full_dn_moment_v3(task, bundle, 0.2, 0.25, lam,
-                                     nx0=96, nr=64, nphi=64, ntrans=160)
+    cyl = make_cylinder_grid(ch, nx0=96, ntrans=160)
+    val_c, _ = full_dn_moment_v3(task, bundle, 0.2, 0.25, lam, grid=cyl,
+                                 nx0=48, nr=32, nphi=32)
+    val_f, syn_f = full_dn_moment_v3(task, bundle, 0.2, 0.25, lam, grid=cyl,
+                                     nx0=96, nr=64, nphi=64)
     # combined tolerance: measured second-order term plus quadrature budget
     tol = abs(val_f - val_c) / 3.0 * 1.6 + 0.02 * abs(syn_f)
     gap = abs(val_f - syn_f)

@@ -5,8 +5,7 @@ from scipy.integrate import dblquad
 from beamlab.cgo import (assemble_cgo, build_amplitude, build_phase,
                          conjugated_defect_norm, dbar_solve,
                          eikonal_defect_exact, quasimode_eval,
-                         quasimode_lp_norm, quasimode_on_cylinder,
-                         smooth_cutoff)
+                         quasimode_lp_norm, smooth_cutoff)
 from beamlab.cylinder import make_cylinder_grid
 from beamlab.errors import UnsupportedOrder
 from beamlab.geometry import FermiChart, make_chart, trace_geodesic
@@ -275,15 +274,27 @@ class TestAssembly:
         ph = build_phase(p, Y, N=2, ny1=401)
         amp = build_amplitude(p, ph, Y, N_amp=1)
         grid = make_cylinder_grid(ch, nx0=96, ntrans=192)
-        sol = assemble_cgo(p, ph, amp, 40.0, 1.0, grid,
-                           sign=+1, compute_pde_residual=True)
+        sol = assemble_cgo(p, ph, amp, 40.0, 1.0, grid, sign=+1)
         assert sol.report.residual_l2 <= 1e-3
         assert sol.pde_residual <= 2e-3
         # remainder much smaller than the beam on the physical window
         mask = grid.physical_mask()
-        U = quasimode_on_cylinder(ph, amp, sol.rho, +1, grid, p)
+        Q = sol.field - sol.remainder
         assert (np.linalg.norm(sol.remainder[mask])
-                <= 0.05 * np.linalg.norm(U[mask]))
+                <= 0.05 * np.linalg.norm(Q[mask]))
+        # evaluation at chart points: the field at nodes, 0 off the grid
+        ax1, ax2 = grid.trans_axes
+        i = np.array([0, 20, 47, 95])
+        j = np.array([0, 96, 100, 191])
+        k = np.array([191, 90, 101, 0])
+        xp = np.stack([ax1[j], ax2[k]], axis=-1)
+        np.testing.assert_array_equal(sol(grid.x0[i], xp),
+                                      sol.field[i, j, k])
+        assert np.any(sol.field[i, j, k] != 0)
+        off = np.array([[ax1[-1] + 0.5 * (ax1[1] - ax1[0]), 0.0],
+                        [0.0, ax2[0] - 1e-3], [0.0, 0.0]])
+        x0_off = np.array([0.5, 0.5, grid.x0[-1] + 0.5 * grid.dx0])
+        np.testing.assert_array_equal(sol(x0_off, off), 0.0)
 
     def test_curved_assembly_rejected(self):
         ch = make_chart("sphere_cap", n=3, params={"cap_radius": 1.1})

@@ -101,6 +101,36 @@ class TestTasks:
                 acc.append((name, sha(out / name)))
         assert h1 == h2
 
+    def test_cgo_rates_fermi_volume(self, tmp_path, monkeypatch):
+        # on the K = 1 cap the Fermi volume element is cos(y''), so the
+        # quasimode norm lies within [sqrt(cos(delta)), 1) of the norm of
+        # the same beam with volume element 1
+        import beamlab.cgo
+
+        lp_norm = beamlab.cgo.quasimode_lp_norm
+        norms = []
+
+        def with_flat(phase, amp, rho, sign, chart, **kwargs):
+            norm = lp_norm(phase, amp, rho, sign, chart, **kwargs)
+            norms.append((norm, lp_norm(phase, amp, rho, sign, chart),
+                          amp.delta))
+            return norm
+
+        monkeypatch.setattr(beamlab.cgo, "quasimode_lp_norm", with_flat)
+        cfg = base_config()
+        cfg["geometry"] = {"kind": "sphere_cap", "n": 3,
+                           "interval": [0.0, 1.0],
+                           "params": {"curvature": 1.0, "cap_radius": 1.1,
+                                      "tube_radius": 0.35}}
+        cfg["cgo_rates"] = {"lams": [40.0]}
+        out = tmp_path / "run"
+        run_task("cgo-rates", cfg, str(out))
+        (norm, norm_flat, delta), = norms
+        lines = (out / "rates.csv").read_text().splitlines()
+        assert lines[1].startswith("40,quasimode_l2,")
+        assert float(lines[1].split(",")[2]) == pytest.approx(norm, rel=1e-11)
+        assert np.sqrt(np.cos(delta)) <= norm / norm_flat < 1.0
+
     def test_recover_quadratic_reports(self, tmp_path, monkeypatch):
         # canned recover_v2 result: 2 x0 samples, 3 geodesic parameters
         import beamlab.recon

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from beamlab.cgo import build_amplitude, build_phase
+from beamlab.cgo import assemble_cgo, build_amplitude, build_phase
+from beamlab.cylinder import make_cylinder_grid
 from beamlab.geometry import make_chart
 from beamlab.jacobi import ComplexJacobiField
 from beamlab.potentials import PotentialSeries, make_field
@@ -236,17 +237,29 @@ class TestBoundaryRoute:
         V = PotentialSeries({3: V3fn})
         return ReconTask(chart=ch, V=V, m=3, delta=0.7)
 
-    def test_dual_path_refinement(self):
+    def test_dual_path_refinement(self, monkeypatch):
+        import beamlab.recon as recon
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("sign"))
+            return assemble_cgo(*args, **kwargs)
+
+        monkeypatch.setattr(recon, "assemble_cgo", counted)
         task = self.make_task()
         bundle = prepare_bundle(task, anchor="point")
+        cyl = make_cylinder_grid(task.chart, nx0=96, ntrans=128)
         val_c, syn_c = full_dn_moment_v3(task, bundle, 0.2, 0.25, 20.0,
-                                         nx0=24, nr=16, nphi=16, ntrans=128)
+                                         grid=cyl, nx0=24, nr=16, nphi=16)
         val_f, syn_f = full_dn_moment_v3(task, bundle, 0.2, 0.25, 20.0,
-                                         nx0=48, nr=32, nphi=32, ntrans=128)
+                                         grid=cyl, nx0=48, nr=32, nphi=32)
         tol = abs(val_f - val_c) / 3.0 * 1.6 + 0.02 * abs(syn_f)
         assert abs(val_f - syn_f) <= tol
         # both routes approach each other under refinement
         assert abs(val_f - syn_f) <= 0.5 * abs(val_c - syn_c)
+        # the +/- lambda pair is completed once for both disk grids
+        assert len(calls) == 2
 
     def test_grid_budget_guard(self):
         from beamlab.errors import ModeMismatch
@@ -254,7 +267,9 @@ class TestBoundaryRoute:
         bundle = prepare_bundle(task, anchor="point")
         with pytest.raises(ModeMismatch):
             full_dn_moment_v3(task, bundle, 0.2, 0.25, 400.0,
-                              nx0=24, nr=16, nphi=16, ntrans=128)
+                              make_cylinder_grid(task.chart, nx0=96,
+                                                 ntrans=128),
+                              nx0=24, nr=16, nphi=16)
 
     def test_cylinder_sampling_guard(self):
         # the disk grid resolves lambda = 40 (k h = 0.625) but the torus
@@ -264,7 +279,9 @@ class TestBoundaryRoute:
         bundle = prepare_bundle(task, anchor="point")
         with pytest.raises(ModeMismatch, match="cylinder grid"):
             full_dn_moment_v3(task, bundle, 0.2, 0.25, 40.0,
-                              nx0=24, nr=64, nphi=16, ntrans=32)
+                              make_cylinder_grid(task.chart, nx0=96,
+                                                 ntrans=32),
+                              nx0=24, nr=64, nphi=16)
 
     def test_quadratic_sampling_guard(self):
         # lambda = 30 on nr = 16 resolves the beams (k h = 1.875), but a
@@ -278,7 +295,9 @@ class TestBoundaryRoute:
         bundle = prepare_bundle(task, anchor="point")
         with pytest.raises(ModeMismatch, match="disk grid.*2 lambda"):
             full_dn_moment_v3(task, bundle, 0.2, 0.25, 30.0,
-                              nx0=24, nr=16, nphi=16, ntrans=128)
+                              make_cylinder_grid(task.chart, nx0=96,
+                                                 ntrans=128),
+                              nx0=24, nr=16, nphi=16)
 
     def test_sensitivity_to_corrupted_lower_order(self):
         task = self.make_task()
@@ -289,7 +308,8 @@ class TestBoundaryRoute:
         bundle = prepare_bundle(task, anchor="point")
         rep = sensitivity_report(task, bundle, 0.2, 0.25, 20.0,
                                  corruption=0.10, nx0=36, nr=24, nphi=24,
-                                 ntrans=128)
+                                 grid=make_cylinder_grid(task.chart, nx0=96,
+                                                         ntrans=128))
         # the driver surfaces the shift instead of absorbing it; the size is
         # a frozen regression value (companion term is sub-percent here)
         assert rep["relative_shift"] > 1e-4
