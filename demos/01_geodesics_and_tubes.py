@@ -31,7 +31,7 @@ fermi = FermiChart(path)
 g_axis = fermi.pullback_metric(0.3, np.array([0.0]))
 print("pullback metric on the axis (expect identity):")
 print(np.round(g_axis, 10))
-y1, ypp = fermi.inverse(fermi.forward(np.array(0.4), np.array([0.12])))
+y1, ypp = fermi.inverse(fermi.forward(np.array(0.4), np.array([0.12]))[0])
 print(f"round trip through the chart: (0.4, 0.12) -> "
       f"({y1:.6f}, {ypp[0]:.6f})")
 

@@ -442,25 +442,30 @@ def _cell_averaged_cauchy(a0, a1, h0, h1):
     return avg
 
 
-def dbar_solve(F, y0, y1, pad_factor=4):
+# zero padding of the d-bar source, as a multiple of its extent per axis
+DBAR_PAD = 4
+
+
+def dbar_solve(F, y0, y1):
     """Particular solution of (d/dy0 + i d/dy1) r = F via the Cauchy kernel.
 
-    The source is zero-padded to ``pad_factor`` times its extent and convolved
-    with the cell-averaged kernel 1/(2 pi (y0 + i y1)).
+    The source, of shape (..., len(y0), len(y1)) with any stacked leading
+    axes, is zero-padded to ``DBAR_PAD`` times its extent and convolved with
+    the cell-averaged kernel 1/(2 pi (y0 + i y1)), built once per call.
     """
     F = np.asarray(F, dtype=complex)
-    n0, n1 = F.shape
+    n0, n1 = F.shape[-2:]
     h0 = y0[1] - y0[0]
     h1 = y1[1] - y1[0]
-    N0, N1 = pad_factor * n0, pad_factor * n1
-    buf = np.zeros((N0, N1), dtype=complex)
-    buf[:n0, :n1] = F
+    N0, N1 = DBAR_PAD * n0, DBAR_PAD * n1
+    buf = np.zeros(F.shape[:-2] + (N0, N1), dtype=complex)
+    buf[..., :n0, :n1] = F
     a0 = (np.arange(N0) - N0 // 2) * h0
     a1 = (np.arange(N1) - N1 // 2) * h1
     Gam = _cell_averaged_cauchy(a0, a1, h0, h1)
     Gam = np.roll(np.roll(Gam, -(N0 // 2), axis=0), -(N1 // 2), axis=1)
     conv = np.fft.ifft2(np.fft.fft2(buf) * np.fft.fft2(Gam)) * h0 * h1
-    return conv[:n0, :n1]
+    return conv[..., :n0, :n1]
 
 
 @dataclass
@@ -484,8 +489,7 @@ class AmplitudeJet:
 
     def interp(self, data, x0, t):
         if data is None:
-            return np.zeros(np.broadcast(np.asarray(x0), np.asarray(t)).shape,
-                            dtype=complex)
+            return 0.0
         itp = RegularGridInterpolator((self.x0, self.y1), data,
                                       bounds_error=False, fill_value=0.0)
         pts = np.stack(np.broadcast_arrays(np.asarray(x0), np.asarray(t)),
@@ -562,8 +566,9 @@ def build_amplitude(path, phase, Y, V1=None, N_amp=1, delta=None):
         Pv0 = -lap_v0_axis[None, :] + V1_axis * v00[None, :]
         Pv0b = -np.conj(lap_v0_axis)[None, :] + V1_axis * np.conj(v00)[None, :]
         root = 1.0 / v00                        # (det Y)^{1/2}, same branch
-        up = dbar_solve(0.5 * root[None, :] * Pv0, x0, y1)
-        um = dbar_solve(-0.5 * np.conj(root)[None, :] * Pv0b, x0, y1)
+        up, um = dbar_solve(np.stack([0.5 * root[None, :] * Pv0,
+                                      -0.5 * np.conj(root)[None, :] * Pv0b]),
+                            x0, y1)
         amp.v1_plus = up * v00[None, :]
         amp.v1_minus = um * np.conj(v00)[None, :]
         amp.pv0_axis = Pv0
@@ -664,13 +669,6 @@ class TubeDefect:
         else:
             self._v1 = None
 
-    def _interp_v1(self, which, x0):
-        data = self._v1[self.sign][which]
-        itp = RegularGridInterpolator((self.amp.x0, self.amp.y1), data,
-                                      bounds_error=False, fill_value=0.0)
-        pts = np.stack(np.broadcast_arrays(np.asarray(x0), self.t), axis=-1)
-        return itp(pts)
-
     def eval(self, x0, rho):
         rho = complex(rho)
         sign = self.sign
@@ -696,11 +694,8 @@ class TubeDefect:
 
         x0 = np.asarray(x0)
         if self._v1 is not None:
-            v1 = self._interp_v1(0, x0)
-            v1_d0 = self._interp_v1(1, x0)
-            v1_d1 = self._interp_v1(2, x0)
-            v1_d00 = self._interp_v1(3, x0)
-            v1_d11 = self._interp_v1(4, x0)
+            v1, v1_d0, v1_d1, v1_d00, v1_d11 = (
+                self.amp.interp(d, x0, self.t) for d in self._v1[sign])
         else:
             v1 = v1_d0 = v1_d1 = v1_d00 = v1_d11 = 0.0
 
@@ -753,7 +748,7 @@ def quasimode_lp_norm(phase, amp, rho, sign, chart, fermi=None, p=2,
     x0 = np.linspace(a0, b0, nx0)
     vals = quasimode_eval(phase, amp, rho, sign,
                           x0[:, None, None], T[None], ypp[None])
-    vol = np.ones(T.shape) if fermi is None else fermi.volume(T, ypp)
+    vol = np.ones(T.shape) if fermi is None else fermi.forward(T, ypp)[1]
     dy1 = y1[1] - y1[0]
     dx0 = x0[1] - x0[0]
     return float((np.sum(np.abs(vals) ** p * (vol * wgt[:, None])[None])

@@ -321,14 +321,13 @@ def main(argv=None):
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0,
                         help="recorded in the manifest; no task is randomized")
-    parser.add_argument("--validate-only", action="store_true")
     args = parser.parse_args(argv)
 
     with open(args.config) as fh:
         cfg = json.load(fh)
     cfg.setdefault("seed", args.seed)
     try:
-        if args.validate_only or args.task == "validate":
+        if args.task == "validate":
             validate_config(cfg)
             print("config ok")
             return 0

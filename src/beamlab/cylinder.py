@@ -125,7 +125,14 @@ class EigenBasis:
 # one-dimensional symbol inverse
 # ---------------------------------------------------------------------------
 
-def s_a_apply(h, dx, a, pad_factor=4):
+# zero padding of the line, as a multiple of the window; smallest
+# |lambda^2 - mu| on a retained mode; share of the source energy that the
+# discarded modes may carry; relative step and cap of the potential loop
+S_A_PAD, RESONANCE_MARGIN, ENERGY_CUT = 4, 1e-6, 1e-10
+SOLVE_TOL, SOLVE_MAXIT = 1e-10, 40
+
+
+def s_a_apply(h, dx, a):
     """Inverse of (d/dx + a) on the line, restricted to the input window.
 
     For kernels that die out inside the padding this divides by the symbol
@@ -139,7 +146,7 @@ def s_a_apply(h, dx, a, pad_factor=4):
         raise ZeroSymbol("symbol parameter must be nonzero")
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
-    npad = pad_factor * n
+    npad = S_A_PAD * n
     shape = (npad,) + (1,) * (h.ndim - 1)
     if abs(a) * (npad - n) * dx >= 40.0:
         lead = (npad - n) // 2
@@ -186,7 +193,7 @@ class SolveReport:
     discarded_energy: float = 0.0
 
 
-def _free_solve(Fw, grid, lam, basis, margin, energy_cut, keep=None):
+def _free_solve(Fw, grid, lam, basis, keep=None):
     """Per-mode solve of the conjugated free operator; returns (R, keep, lost)."""
     taxes = tuple(range(1, Fw.ndim))
     Fhat = np.fft.fftn(Fw, axes=taxes)
@@ -197,14 +204,14 @@ def _free_solve(Fw, grid, lam, basis, margin, energy_cut, keep=None):
     if keep is None:
         flat = np.sort(energy.ravel())
         cum = np.cumsum(flat)
-        cut_idx = int(np.searchsorted(cum, energy_cut * total))
+        cut_idx = int(np.searchsorted(cum, ENERGY_CUT * total))
         thresh = flat[cut_idx - 1] if cut_idx > 0 else -1.0
         keep = energy > thresh
     mu = basis.mu
     gap = np.abs(lam ** 2 - mu[keep])
-    if gap.size and np.min(gap) < margin:
+    if gap.size and np.min(gap) < RESONANCE_MARGIN:
         raise ResonantLambda(
-            f"lambda^2 within {margin} of a retained eigenvalue")
+            f"lambda^2 within {RESONANCE_MARGIN} of a retained eigenvalue")
     Rhat = np.zeros_like(Fhat)
     sq = np.sqrt(mu)
     idxs = np.argwhere(keep)
@@ -231,7 +238,7 @@ def _fd_dx0(u, dx, order=1):
         c = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / (180.0 * dx ** 2)
     for k, ck in enumerate(c):
         if ck != 0.0:
-            out[3:-3] += ck * np.roll(u, 3 - k, axis=0)[3:-3]
+            out[3:-3] += ck * u[k:len(u) - 6 + k]
     return out
 
 
@@ -249,8 +256,7 @@ def apply_conjugated(R, grid, lam, V1_field=None):
     return out
 
 
-def conjugated_solve(F, grid, lam, V1_field=None, margin=1e-6,
-                     energy_cut=1e-10, tol=1e-10, maxit=40):
+def conjugated_solve(F, grid, lam, V1_field=None):
     """Solve the conjugated equation on the cylinder for a gridded source.
 
     Returns ``(R, SolveReport)``.  The potential term is handled by the
@@ -260,19 +266,19 @@ def conjugated_solve(F, grid, lam, V1_field=None, margin=1e-6,
     basis = EigenBasis(grid)
     wshape = (len(grid.x0),) + (1,) * (F.ndim - 1)
     Fw = F * grid.window.reshape(wshape)
-    R, keep, lost = _free_solve(Fw, grid, lam, basis, margin, energy_cut)
+    R, keep, lost = _free_solve(Fw, grid, lam, basis)
     iters = 0
     if V1_field is not None and np.max(np.abs(V1_field)) > 0:
         ref = np.linalg.norm(R)
         prev_delta = np.inf
         growth = 0
         Rj = R
-        for iters in range(1, maxit + 1):
+        for iters in range(1, SOLVE_MAXIT + 1):
             # mode set frozen across the loop so the map stays affine
-            Rn, _, _ = _free_solve(Fw - V1_field * Rj, grid, lam,
-                                   basis, margin, energy_cut, keep=keep)
+            Rn, _, _ = _free_solve(Fw - V1_field * Rj, grid, lam, basis,
+                                   keep=keep)
             delta = np.linalg.norm(Rn - Rj)
-            if delta <= tol * max(ref, 1e-300):
+            if delta <= SOLVE_TOL * max(ref, 1e-300):
                 Rj = Rn
                 break
             if delta > prev_delta:

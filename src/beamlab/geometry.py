@@ -357,12 +357,12 @@ def _orthonormal_complement(metric, x, theta):
     return np.stack(basis[1:], axis=-1)    # (d, d-1), excludes theta
 
 
-def _find_exit(chart, x0, v0, h, max_length):
+def _find_exit(chart, x0, v0, h):
     """Arc length to the boundary along (x0, v0), refined by bisection."""
     f = _geodesic_rhs(chart.metric)
     x, v = x0.copy(), v0.copy()
     t = 0.0
-    while t < max_length:
+    while t < MAX_LENGTH:
         xn, vn = rk4_step(f, 0.0, (x, v), h)
         if chart.boundary_defect(xn) < 0.0:
             lo, hi = 0.0, h
@@ -377,10 +377,14 @@ def _find_exit(chart, x0, v0, h, max_length):
                     break
             return t + 0.5 * (lo + hi)
         x, v, t = xn, vn, t + h
-    raise TrappedGeodesic(f"no boundary exit within arc length {max_length}")
+    raise TrappedGeodesic(f"no boundary exit within arc length {MAX_LENGTH}")
 
 
-def trace_geodesic(chart, x, theta, h=1e-3, margin=None, max_length=50.0):
+# longest arc length searched for a boundary exit
+MAX_LENGTH = 50.0
+
+
+def trace_geodesic(chart, x, theta, h=1e-3, margin=None):
     """Trace the maximal unit-speed geodesic through ``x`` with direction ``theta``.
 
     Returns a :class:`GeodesicPath` sampled on a uniform-step grid (separate
@@ -396,8 +400,8 @@ def trace_geodesic(chart, x, theta, h=1e-3, margin=None, max_length=50.0):
         raise NonUnitSpeed(f"|theta|_g = {metric.norm(x, theta)!r}")
     margin = chart.extension_margin if margin is None else float(margin)
 
-    tau_plus = _find_exit(chart, x, theta, h, max_length)
-    tau_minus = -_find_exit(chart, x, -theta, h, max_length)
+    tau_plus = _find_exit(chart, x, theta, h)
+    tau_minus = -_find_exit(chart, x, -theta, h)
 
     e0 = _orthonormal_complement(metric, x, theta)
 
@@ -445,6 +449,8 @@ def parallel_frame(path, basis):
 
 # RK4 steps of the exponential map over its parameter interval [0, 1]
 FERMI_STEPS = 32
+# Newton residual and iteration cap of the inverse map
+INVERSE_TOL, INVERSE_MAXIT = 1e-10, 40
 
 
 def _variation_rhs(metric):
@@ -508,11 +514,14 @@ class FermiChart:
         return base, vel, frame, np.einsum("...m,...dm->...d", ypp, frame)
 
     def forward(self, y1, ypp):
-        """Map Fermi coordinates to chart points."""
-        base, _, _, w = self._axis(y1, ypp)
+        """Chart points of Fermi coordinates and the volume element
+        ``sqrt(det g_F)`` there, exactly 1 on a flat chart."""
         if self.metric.is_flat:
-            return base + w
-        return _shoot(_geodesic_rhs(self.metric), (base, w))[0]
+            base, _, _, w = self._axis(y1, ypp)
+            return base + w, np.ones(base.shape[:-1])
+        p, J = self._point_and_jacobian(y1, ypp)
+        g = np.swapaxes(J, -1, -2) @ self.metric.g(p) @ J
+        return p, np.sqrt(np.maximum(np.linalg.det(g), 0.0))
 
     def _point_and_jacobian(self, y1, ypp):
         """F and d F / d(y1, y''), the latter of shape (..., d, m + 1)."""
@@ -532,47 +541,25 @@ class FermiChart:
         p, J = self._point_and_jacobian(y1, ypp)
         return np.swapaxes(J, -1, -2) @ self.metric.g(p) @ J
 
-    def volume(self, y1, ypp):
-        """Volume element ``sqrt(det g_F)`` at (y1, y''); exactly 1 on a flat
-        chart."""
-        if self.metric.is_flat:
-            return np.ones(np.broadcast(np.asarray(y1),
-                                        np.asarray(ypp)[..., 0]).shape)
-        g = self.pullback_metric(y1, ypp)
-        return np.sqrt(np.maximum(np.linalg.det(g), 0.0))
-
     # -- inverse ------------------------------------------------------------
 
-    def inverse(self, p, tol=1e-10, maxiter=40):
-        """Fermi coordinates of a chart point within the tube."""
+    def inverse(self, p):
+        """Fermi coordinates of a chart point within the tube, by Newton's
+        method on the forward map from the nearest axis node (one step on a
+        flat chart, where the map is affine)."""
         p = np.asarray(p, dtype=float)
         path = self.path
-        if self.metric.is_flat:
-            d2 = np.sum((path.x - p) ** 2, axis=1)
-            i = int(np.argmin(d2))
-            y1 = path.t[i]
-            for _ in range(50):
-                base, vel = path.point(y1), path.velocity(y1)
-                dy = float(np.dot(p - base, vel))
-                y1 += dy
-                if abs(dy) < 1e-14:
-                    break
-            base = path.point(y1)
-            ypp = path.frame_at(y1).T @ (p - base)
+        y = np.zeros(self.metric.dim)
+        y[0] = path.t[int(np.argmin(np.sum((path.x - p) ** 2, axis=1)))]
+        for _ in range(INVERSE_MAXIT):
+            fwd, J = self._point_and_jacobian(y[0], y[1:])
+            res = fwd - p
+            if np.linalg.norm(res) < INVERSE_TOL:
+                break
+            y = y - np.linalg.solve(J, res)
         else:
-            d2 = np.sum((path.x - p) ** 2, axis=1)
-            y = np.zeros(self.metric.dim)
-            y[0] = path.t[int(np.argmin(d2))]
-            for _ in range(maxiter):
-                fwd, J = self._point_and_jacobian(y[0], y[1:])
-                res = fwd - p
-                if np.linalg.norm(res) < tol:
-                    break
-                step = np.linalg.solve(J, res)
-                y = y - step
-            else:
-                raise OutsideTube("Fermi inversion did not converge")
-            y1, ypp = y[0], y[1:]
+            raise OutsideTube("Fermi inversion did not converge")
+        y1, ypp = y[0], y[1:]
         if np.linalg.norm(ypp) > self.delta_prime * (1 + 1e-9):
             raise OutsideTube(f"|y''| = {np.linalg.norm(ypp):.4g} "
                               f"exceeds tube radius {self.delta_prime}")

@@ -431,7 +431,11 @@ def dn_map(solver, V, f, r0=0.5):
 # semilinear fixed point
 # ---------------------------------------------------------------------------
 
-def solve_semilinear(solver, V, f, r0=0.5, tol=1e-12, maxit=80):
+# relative step and iteration cap of the semilinear fixed point
+PICARD_TOL, PICARD_MAXIT = 1e-12, 80
+
+
+def solve_semilinear(solver, V, f, r0=0.5):
     """Picard iteration around the linear solve for small Dirichlet data.
 
     Returns (u_full, info) with the contraction history recorded.
@@ -451,13 +455,13 @@ def solve_semilinear(solver, V, f, r0=0.5, tol=1e-12, maxit=80):
     history = []
     prev = np.inf
     it = 0
-    for it in range(1, maxit + 1):
+    for it in range(1, PICARD_MAXIT + 1):
         src = -np.asarray(V.tilde_value(x0, xp, base + u_t))
         new = solver.solve(F=src)
         delta = float(np.max(np.abs(new - u_t)))
         history.append(delta)
         u_t = new
-        if delta <= tol * scale:
+        if delta <= PICARD_TOL * scale:
             break
         if it > 3 and delta > 1.5 * prev:
             raise ContractionFailure("fixed point iterates diverge")

@@ -186,7 +186,13 @@ def _neville_at_zero(x, y):
     return diag
 
 
-def invert_j2_point(oracle, eps_grid, zeta, n, rtol=0.25, max_points=5):
+# accepted relative spread and Neville depth of the second-kind limit; window
+# sizes and accepted spread of the first-kind split route
+J2_RTOL, J2_POINTS = 0.25, 5
+SPLIT_ZETAS, SPLIT_RTOL = (0.4, 0.2, 0.1), 0.5
+
+
+def invert_j2_point(oracle, eps_grid, zeta, n):
     """Point value of f at the family anchor from second-kind transform data.
 
     Divides the data by the model normalization and extrapolates to the
@@ -198,25 +204,24 @@ def invert_j2_point(oracle, eps_grid, zeta, n, rtol=0.25, max_points=5):
     N = np.array([normalization_integral(zeta, e, n) for e in eps_grid])
     est = J / N
     x = 1.0 / N
-    k = min(max_points, len(eps_grid))
+    k = min(J2_POINTS, len(eps_grid))
     diag = _neville_at_zero(x[-k:][::-1], est[-k:][::-1])
     value = diag[-1]
     incs = [abs(diag[i] - diag[i - 1]) for i in range(1, len(diag))]
     err = max(incs[-2:]) if incs else np.inf
     floor = 1e-12 + 0.01 * np.max(np.abs(est))
     trend = abs(est[-1] - est[-2]) if len(est) > 1 else 0.0
-    if trend > rtol * max(abs(est[-1]), floor):
+    if trend > J2_RTOL * max(abs(est[-1]), floor):
         raise NoConvergence("normalized data still trending; "
                             "parameter grid not in the asymptotic regime")
-    if err > rtol * max(abs(value), floor):
+    if err > J2_RTOL * max(abs(value), floor):
         raise NoConvergence(f"extrapolants differ by {err:.3g}")
     return InversionReport(estimate=value, error_bound=float(err),
                            eps_grid=list(eps_grid), zeta=float(zeta),
                            diagnostics={"raw_estimates": [repr(v) for v in est]})
 
 
-def invert_j1_point_split(oracle, eps_grid, zetas=(0.4, 0.2, 0.1), rtol=0.5,
-                          f_check=None):
+def invert_j1_point_split(oracle, eps_grid, f_check=None):
     """Point value of a real f from first-kind data (even transversal rank).
 
     Uses the conjugate split S_eps = J - conj(J) = 2i Im J; Im J / pi tends to
@@ -230,7 +235,7 @@ def invert_j1_point_split(oracle, eps_grid, zetas=(0.4, 0.2, 0.1), rtol=0.5,
     cache = {float(e): oracle(e) for e in eps_grid}
     per_zeta = []
     spreads = []
-    for z in zetas:
+    for z in SPLIT_ZETAS:
         sub = eps_grid[eps_grid <= 0.5 * z]
         if len(sub) < 2:
             continue
@@ -247,10 +252,10 @@ def invert_j1_point_split(oracle, eps_grid, zetas=(0.4, 0.2, 0.1), rtol=0.5,
     a, c1 = coef
     resid = float(np.max(np.abs(A @ coef - vs)))
     err = resid + float(np.mean(spreads)) + abs(c1) * float(np.min(zs)) * 0.5
-    if np.mean(spreads) > rtol * max(abs(a), 1e-12 + 0.01 * np.max(np.abs(vs))):
+    if np.mean(spreads) > SPLIT_RTOL * max(abs(a), 1e-12 + 0.01 * np.max(np.abs(vs))):
         raise NoConvergence("parameter-limit extrapolants failed to settle")
     return InversionReport(estimate=float(a), error_bound=err,
-                           eps_grid=list(eps_grid), zeta=list(zetas),
+                           eps_grid=list(eps_grid), zeta=list(SPLIT_ZETAS),
                            diagnostics={"bias_slope": float(c1),
                                         "zeta_estimates": [float(v) for v in vs]})
 
@@ -268,9 +273,13 @@ def _binom_half(kmax):
     return a
 
 
-def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None,
-                      tikhonov=1e-8, cond_cap=1e14, n_out=201, pad=3,
-                      density_ridge=1e-10):
+# moment route: relative ridges of the density and profile fits, the largest
+# accepted design condition number, density basis size beyond K_max, samples
+DENSITY_RIDGE, PROFILE_RIDGE, MOMENT_COND_CAP = 1e-10, 1e-8, 1e14
+DENSITY_PAD, MOMENT_N_OUT = 3, 201
+
+
+def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None):
     """Reconstruct f along the geodesic from first-kind data (scalar rank).
 
     Pipeline: extract the weighted power moments of f by least-squares
@@ -309,16 +318,16 @@ def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None,
     wq = _simpson_weights(nq, tq[1] - tq[0])
     Xtq = np.interp(tq, tt, Xt)
     s = 2.0 * (tq - ta) / (tb - ta) - 1.0
-    nba = K_max + pad
+    nba = K_max + DENSITY_PAD
     P = np.stack([L.legval(s, [0] * q + [1]) for q in range(nba)], axis=1)
     Wgt = np.stack([(1.0 - 1j * e * Xtq) ** (-0.5) for e in eps_grid], axis=0)
     G = (Wgt * wq) @ P
     design = np.vstack([G.real, G.imag])
     rhs = np.concatenate([J.real, J.imag])
     cond = np.linalg.cond(design)
-    if cond > cond_cap:
+    if cond > MOMENT_COND_CAP:
         raise IllConditioned(f"moment design condition number {cond:.3g}")
-    lam_a = density_ridge * np.trace(design.T @ design) / nba
+    lam_a = DENSITY_RIDGE * np.trace(design.T @ design) / nba
     coef = np.linalg.solve(design.T @ design + lam_a * np.eye(nba),
                            design.T @ rhs)
     rho = P @ coef
@@ -337,11 +346,11 @@ def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None,
     row_scale = np.max(np.abs(A), axis=1)
     As = A / row_scale[:, None]
     Ms = M / row_scale
-    lam = tikhonov * np.trace(As.T @ As) / nb
+    lam = PROFILE_RIDGE * np.trace(As.T @ As) / nb
     beta = np.linalg.solve(As.T @ As + lam * np.eye(nb), As.T @ Ms)
 
     # map back to the geodesic parameter
-    t_out = np.linspace(ta, tb, n_out)
+    t_out = np.linspace(ta, tb, MOMENT_N_OUT)
     Xo = X.at(t_out)[:, 0, 0].real
     Zo = Z.at(t_out)[:, 0, 0].real
     Xdo = X.deriv_at(t_out)[:, 0, 0].real

@@ -141,41 +141,41 @@ def _beam_width(phase, amp, lam, ny1):
     return np.minimum(6.0 / np.sqrt(4.0 * lam * imH_s), amp.delta)
 
 
-def tube_interaction(bundle, field_fn, phases, amps, rhos, signs, powers,
-                     lam_scale, nx0=49, ny1=161, ns=41):
+# tube quadrature: Simpson nodes over the interval (odd), axis samples, and
+# samples per offset axis
+TUBE_NX0, TUBE_NY1, TUBE_NS = 49, 161, 41
+
+
+def tube_interaction(bundle, field_fn, phase, amp, factors, lam):
     """lambda^{d/2} * integral of field * prod_k q_k^{p_k} over I x tube.
 
-    ``q_k`` are beam factors (growth removed), evaluated from shared tube
-    grids; the x0 integral runs over the interval with Simpson weights.  The
-    tube grid is mapped to the chart and weighted by the Fermi chart of the
-    bundle's geodesic.
+    ``factors`` holds one ``(rho, sign, power)`` per factor ``q_k``: the beam
+    ``(phase, amp)`` of that sign at rho, growth removed.  A principal-part
+    beam depends on x0 only through ``e^{i Im(rho) x0}``, so the field is
+    transformed in x0 once (Simpson weights times ``e^{i sigma x0}``, sigma =
+    sum_k p_k Im rho_k) and the beams are evaluated on the tube at x0 = 0.
+    The tube grid is mapped to the chart by the Fermi chart of the bundle's
+    geodesic.  Subprincipal (x0, axis) grids raise ``ModeMismatch``.
     """
+    if amp.v1_plus is not None:
+        raise ModeMismatch(
+            "the tube interaction integrates principal-part beams; the "
+            "amplitude carries subprincipal (x0, axis) grids (n_amp >= 1)")
     chart = bundle.chart
-    a0, b0 = chart.interval
-    if nx0 % 2 == 0:
-        nx0 += 1
-    x0 = np.linspace(a0, b0, nx0)
-    wx0 = _simpson_weights(nx0, x0[1] - x0[0])
-    width = _beam_width(phases[0], amps[0], lam_scale, ny1)
-    y1, T, ypp, wgt = tube_grid(phases[0], width, ny1, ns)
-    fermi = FermiChart(bundle.path)
-    pts = fermi.forward(T, ypp)
-    dy1 = y1[1] - y1[0]
-
-    prod = None
-    for phase, amp, rho, sign, power in zip(phases, amps, rhos, signs, powers):
-        q = quasimode_eval(phase, amp, rho, sign, x0[:, None, None],
-                           T[None], ypp[None])
-        term = q ** power
-        prod = term if prod is None else prod * term
-    fv = field_fn(x0[:, None, None], pts[None])
+    x0 = np.linspace(*chart.interval, TUBE_NX0)
+    sigma = sum(p * complex(rho).imag for rho, _, p in factors)
+    wx0 = _simpson_weights(TUBE_NX0, x0[1] - x0[0]) * np.exp(1j * sigma * x0)
+    width = _beam_width(phase, amp, lam, TUBE_NY1)
+    y1, T, ypp, wgt = tube_grid(phase, width, TUBE_NY1, TUBE_NS)
+    pts, vol = FermiChart(bundle.path).forward(T, ypp)
+    prod = 1.0
+    for rho, sign, power in factors:
+        prod = prod * quasimode_eval(phase, amp, rho, sign, 0.0, T, ypp) ** power
     # coefficients live on the manifold and extend by zero past the chart
-    fv = fv * chart.inside(pts)[None]
-    integrand = fv * prod
-    val = np.einsum("i,ijk->jk", wx0, integrand)
-    val = np.sum(val * (fermi.volume(T, ypp) * wgt[:, None])) * dy1
-    d = bundle.chart.trans_dim - 1
-    return complex(lam_scale ** (d / 2.0) * val)
+    fhat = np.einsum("i,ijk->jk", wx0, field_fn(x0[:, None, None], pts[None]))
+    val = np.sum(fhat * chart.inside(pts) * prod * (vol * wgt[:, None]))
+    d = chart.trans_dim - 1
+    return complex(lam ** (d / 2.0) * val * (y1[1] - y1[0]))
 
 
 def lambda_extrapolate(lams, values):
@@ -222,9 +222,8 @@ def dn_moment_v3(task, bundle, eps, sigma, field_fn=None, lams=None):
     vals = []
     for lam in lams:
         rho = complex(lam, sigma)
-        vals.append(tube_interaction(
-            bundle, field_fn, [phase, phase], [amp, amp], [rho, rho],
-            [+1, -1], [2, 2], lam))
+        vals.append(tube_interaction(bundle, field_fn, phase, amp,
+                                     [(rho, +1, 2), (rho, -1, 2)], lam))
     limit, resid = lambda_extrapolate(lams, vals)
     cal, s = _calibration(bundle, Y, eps)
     datum = limit * cal * s
@@ -244,19 +243,17 @@ def dn_moment_v2(task, bundle, eps, sigma, lams=None):
     s1_vals, s2_vals = [], []
     for lam in lams:
         rho = complex(lam, sigma)
-        s1_vals.append(tube_interaction(
-            bundle, V2, [phase, phase], [amp, amp], [rho, 2 * rho],
-            [+1, -1], [2, 1], lam))
-        s2_vals.append(tube_interaction(
-            bundle, V2, [phase, phase], [amp, amp], [rho, 2 * rho],
-            [-1, +1], [2, 1], lam))
+        s1_vals.append(tube_interaction(bundle, V2, phase, amp,
+                                        [(rho, +1, 2), (2 * rho, -1, 1)], lam))
+        s2_vals.append(tube_interaction(bundle, V2, phase, amp,
+                                        [(rho, -1, 2), (2 * rho, +1, 1)], lam))
     lim1, r1 = lambda_extrapolate(lams, s1_vals)
     lim2, r2 = lambda_extrapolate(lams, s2_vals)
     cal, _ = _calibration(bundle, Y, eps)
     return lim1 * cal, lim2 * cal, {"fit_residuals": (r1, r2), "eps": eps}
 
 
-def stationary_phase_oracle(task, bundle, eps, xi, kind="second", nq=2001):
+def stationary_phase_oracle(task, bundle, eps, xi, kind="second"):
     """Direct quadrature of the limiting line integral (no beams involved).
 
     Computes ``int e^{xi t} F[field](xi, gamma(t)) w(t) dt`` where w is
@@ -269,9 +266,7 @@ def stationary_phase_oracle(task, bundle, eps, xi, kind="second", nq=2001):
     a0, b0 = chart.interval
     path = bundle.path
     Y = bundle.family(eps)
-    tt = np.linspace(path.tau_minus, path.tau_plus, nq)
-    if nq % 2 == 0:
-        tt = np.linspace(path.tau_minus, path.tau_plus, nq + 1)
+    tt = np.linspace(path.tau_minus, path.tau_plus, 2001)
     pts = path.point(tt)
     x0 = np.linspace(a0, b0, 201)
     wx0 = _simpson_weights(len(x0), x0[1] - x0[0])

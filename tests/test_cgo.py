@@ -149,6 +149,19 @@ class TestAmplitude:
 
 
 class TestDbar:
+    def test_stacked_sources_match_single_calls(self):
+        # one call with sources stacked on leading axes equals one call per
+        # source, to the last bit
+        y0 = np.linspace(-1.0, 1.0, 24)
+        y1 = np.linspace(-1.5, 1.5, 40)
+        Y0, Y1 = np.meshgrid(y0, y1, indexing="ij")
+        F = np.stack([np.exp(-(Y0 - c) ** 2 - Y1 ** 2) * (1.0 + c * 1j)
+                      for c in (-0.3, 0.0, 0.2, 0.5)]).reshape(2, 2, 24, 40)
+        r = dbar_solve(F, y0, y1)
+        assert r.shape == F.shape
+        for idx in np.ndindex(2, 2):
+            assert np.array_equal(r[idx], dbar_solve(F[idx], y0, y1))
+
     def test_residual_bump(self):
         n = 256
         y = np.linspace(-2.0, 2.0, n)

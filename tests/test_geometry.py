@@ -150,7 +150,7 @@ class TestFermi:
         ch = make_chart("flat_disk", n=3)
         p = trace_geodesic(ch, [0.0, 0.0], [1.0, 0.0])
         fc = FermiChart(p)
-        pt = fc.forward(np.array(0.3), np.array([0.1]))
+        pt, _ = fc.forward(np.array(0.3), np.array([0.1]))
         np.testing.assert_allclose(pt, [0.3, 0.1], atol=1e-12)
         y1, ypp = fc.inverse(np.array([0.25, -0.05]))
         assert y1 == pytest.approx(0.25, abs=1e-10)
@@ -163,7 +163,8 @@ class TestFermi:
             np.testing.assert_allclose(ypp, 0.0, atol=1e-8)
 
     def test_round_trip(self):
-        y1, ypp = self.fc.inverse(self.fc.forward(np.array(0.4), np.array([0.12])))
+        y1, ypp = self.fc.inverse(
+            self.fc.forward(np.array(0.4), np.array([0.12]))[0])
         assert y1 == pytest.approx(0.4, abs=1e-8)
         assert ypp[0] == pytest.approx(0.12, abs=1e-8)
 
@@ -196,14 +197,13 @@ class TestFermi:
         theta = theta / ch.metric.norm(x, theta)
         fc = FermiChart(trace_geodesic(ch, x, theta))
         T, ypp = self.tube_points()
-        pts = fc.forward(T, ypp)
+        pts, vol = fc.forward(T, ypp)
         g = fc.pullback_metric(T, ypp)
-        vol = fc.volume(T, ypp)
         assert pts.shape == (4, 5, 2)
         assert g.shape == (4, 5, 2, 2)
         assert vol.shape == (4, 5)
         for i, j in np.ndindex(T.shape):
-            pij = fc.forward(T[i, j], ypp[i, j])
+            pij, _ = fc.forward(T[i, j], ypp[i, j])
             gij = fc.pullback_metric(T[i, j], ypp[i, j])
             assert np.max(np.abs(pts[i, j] - pij)) <= 1e-13
             assert np.max(np.abs(g[i, j] - gij)) <= 1e-13
@@ -219,12 +219,12 @@ class TestFermi:
         T, ypp = self.tube_points()
         expect = (p.point(0.0) + T[..., None] * p.velocity(0.0)
                   + np.einsum("...m,dm->...d", ypp, p.frame_at(0.0)))
-        assert np.array_equal(FermiChart(p).forward(T, ypp), expect)
+        assert np.array_equal(FermiChart(p).forward(T, ypp)[0], expect)
 
     def test_outside_tube(self):
         with pytest.raises(OutsideTube):
-            self.fc.inverse(self.fc.forward(np.array(0.0),
-                                            np.array([self.fc.delta_prime * 2.5])))
+            self.fc.inverse(self.fc.forward(
+                np.array(0.0), np.array([self.fc.delta_prime * 2.5]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from beamlab.cgo import assemble_cgo, build_amplitude, build_phase
+from beamlab import recon
+from beamlab.cgo import (assemble_cgo, build_amplitude, build_phase,
+                         quasimode_eval, tube_grid)
 from beamlab.cylinder import make_cylinder_grid
-from beamlab.geometry import make_chart
+from beamlab.errors import ModeMismatch
+from beamlab.geometry import FermiChart, make_chart
 from beamlab.jacobi import ComplexJacobiField
 from beamlab.potentials import PotentialSeries, make_field
 from beamlab.recon import (ReconTask, dn_moment_v2, dn_moment_v3,
@@ -116,11 +119,70 @@ class TestMoments:
         rho = complex(lam, sigma)
         vals = []
         for ph, am, yy in ((phase, amp, Y), (phase2, amp2, Y2)):
-            D = tube_interaction(bundle, fld, [ph, ph], [am, am], [rho, rho],
-                                 [+1, -1], [2, 2], lam)
+            D = tube_interaction(bundle, fld, ph, am,
+                                 [(rho, +1, 2), (rho, -1, 2)], lam)
             cal, s = _calibration(bundle, yy, eps)
             vals.append(D * cal * s)
         assert abs(vals[0] - vals[1]) <= 2e-3 * abs(vals[0])
+
+
+def interaction_with_x0_axis(bundle, field_fn, phase, amp, factor_sets, lam):
+    """The tube integral of ``tube_interaction`` with the x0 axis kept, one
+    value per factor set: every beam factor is evaluated at every Simpson
+    node of the interval."""
+    chart = bundle.chart
+    x0 = np.linspace(*chart.interval, recon.TUBE_NX0)
+    wx0 = _simpson_weights(len(x0), x0[1] - x0[0])
+    width = recon._beam_width(phase, amp, lam, recon.TUBE_NY1)
+    y1, T, ypp, wgt = tube_grid(phase, width, recon.TUBE_NY1, recon.TUBE_NS)
+    pts, vol = FermiChart(bundle.path).forward(T, ypp)
+    fv = field_fn(x0[:, None, None], pts[None]) * chart.inside(pts)[None]
+    out = []
+    for factors in factor_sets:
+        prod = 1.0
+        for rho, sign, power in factors:
+            prod = prod * quasimode_eval(phase, amp, rho, sign,
+                                         x0[:, None, None], T[None],
+                                         ypp[None]) ** power
+        val = np.einsum("i,ijk->jk", wx0, fv * prod)
+        val = np.sum(val * vol * wgt[:, None]) * (y1[1] - y1[0])
+        out.append(lam ** ((chart.trans_dim - 1) / 2.0) * val)
+    return out
+
+
+class TestTubeInteraction:
+    @pytest.mark.parametrize("kind, params", [
+        ("flat_disk", {"tube_radius": 0.7}),
+        ("sphere_cap", {"cap_radius": 1.25, "tube_radius": 0.7})])
+    def test_matches_x0_axis_reference(self, v3_setup, kind, params):
+        # the field's x0 transform at sigma = sum p_k Im rho_k times the beam
+        # product at x0 = 0 equals the integral over every x0 node
+        task, _ = v3_setup
+        task = ReconTask(**{**task.__dict__,
+                            "chart": make_chart(kind, n=3, params=params)})
+        bundle = prepare_bundle(task, anchor="point")
+        _, phase, amp = bundle.beam(0.2, task.N, task.delta)
+        fld = task.V.coeff(3)
+        lam = 320.0
+        rho = complex(lam, -0.2)
+        # the v3 set and both v2 pairings
+        sets = ([(rho, +1, 2), (rho, -1, 2)],
+                [(rho, +1, 2), (2 * rho, -1, 1)],
+                [(rho, -1, 2), (2 * rho, +1, 1)])
+        refs = interaction_with_x0_axis(bundle, fld, phase, amp, sets, lam)
+        for factors, ref in zip(sets, refs):
+            got = tube_interaction(bundle, fld, phase, amp, factors, lam)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_subprincipal_amplitude_rejected(self, v3_setup):
+        # the (x0, axis) grids of an n_amp = 1 amplitude depend on x0, which
+        # the transform of the field alone would drop
+        task, bundle = v3_setup
+        _, phase, amp = bundle.beam(0.2, task.N, task.delta, n_amp=1)
+        rho = complex(320.0, -0.2)
+        with pytest.raises(ModeMismatch, match="subprincipal"):
+            tube_interaction(bundle, task.V.coeff(3), phase, amp,
+                             [(rho, +1, 2), (rho, -1, 2)], 320.0)
 
 
 class TestBeamMemo:
