@@ -309,11 +309,26 @@ def _coupling_matrix(H, monos_k):
     return B
 
 
-def _transport_sweep(y1, Bfun, Sfun, i0):
-    """RK4 for v' = -B v + S with zero data at node i0."""
-    v0 = np.zeros(np.atleast_1d(Sfun(y1[0])).shape[0], dtype=complex)
-    return rk4_sweep(lambda t, y: (-Bfun(t) @ y[0] + Sfun(t),), y1, (v0,),
-                     i0)[0]
+def _transport_sweep(y1, B, S, i0):
+    """RK4 for v' = -B v + S with zero data at node i0.
+
+    ``B`` and ``S`` are sampled at the nodes of the uniform grid ``y1``; their
+    cubic splines are evaluated once at the nodes and half-nodes, the only
+    times RK4 visits.
+    """
+    tt = np.empty(2 * len(y1) - 1)
+    tt[::2] = y1
+    tt[1::2] = 0.5 * (y1[:-1] + y1[1:])
+    Bt = CubicSpline(y1, B, axis=0)(tt)
+    St = CubicSpline(y1, S, axis=0)(tt)
+    half = 0.5 * (y1[1] - y1[0])
+
+    def f(t, y):
+        i = int(round((t - y1[0]) / half))
+        return (-Bt[i] @ y[0] + St[i],)
+
+    v0 = np.zeros(S.shape[1], dtype=complex)
+    return rk4_sweep(f, y1, (v0,), i0)[0]
 
 
 def build_phase(path, Y, N=2, ny1=321):
@@ -352,9 +367,7 @@ def build_phase(path, Y, N=2, ny1=321):
         defect = _eikonal_defect_jet(jet, ginv, y1, order).order_part(k)
         S = np.stack([defect.get(a, n) for a in monos_k], axis=1)
         B = _coupling_matrix(H, monos_k)
-        Bs = CubicSpline(y1, B, axis=0)
-        Ss = CubicSpline(y1, 0.5 * S, axis=0)
-        theta_k = _transport_sweep(y1, Bs, Ss, i0)
+        theta_k = _transport_sweep(y1, B, 0.5 * S, i0)
         for ia, a in enumerate(monos_k):
             prev = jet.coeffs.get(a)
             jet.coeffs[a] = theta_k[:, ia] if prev is None \
@@ -537,9 +550,7 @@ def build_amplitude(path, phase, Y, V1=None, N_amp=1, delta=None):
         S = np.stack([defect.get(a, n) for a in monos_j], axis=1)
         B = _coupling_matrix(phase.H, monos_j) \
             + 0.5 * trH[:, None, None] * np.eye(len(monos_j))[None]
-        Bs = CubicSpline(y1, B, axis=0)
-        Ss = CubicSpline(y1, 0.5j * S, axis=0)
-        vj = _transport_sweep(y1, Bs, Ss, 0)
+        vj = _transport_sweep(y1, B, 0.5j * S, 0)
         for ia, a in enumerate(monos_j):
             v0.coeffs[a] = vj[:, ia]
 

@@ -5,6 +5,10 @@ class BeamlabError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(BeamlabError, ValueError):
+    """An argument lies outside the domain the function accepts."""
+
+
 # -- geometry ---------------------------------------------------------------
 
 class NonUnitSpeed(BeamlabError):

@@ -35,8 +35,9 @@ class ConformalMetric:
     """Metric ``g = e^{2 phi} delta`` on a chart of dimension ``dim``.
 
     ``phi``, ``grad`` and ``hess`` are vectorized callables taking points of
-    shape ``(..., dim)``.  The Hessian is needed for variation (Jacobi)
-    integrations; everything else uses only ``phi`` and its gradient.
+    shape ``(..., dim)``.  The connection is closed form in the gradient
+    (``_conn``); the Hessian enters only variation integrations and the
+    curvature.
     """
 
     def __init__(self, dim, phi, grad, hess, name="conformal"):
@@ -57,17 +58,6 @@ class ConformalMetric:
     def hess_phi(self, x):
         return self._hess(np.asarray(x, dtype=float))
 
-    def g(self, x):
-        x = np.asarray(x, dtype=float)
-        f = np.exp(2.0 * self.phi(x))
-        eye = np.eye(self.dim)
-        return f[..., None, None] * eye
-
-    def ginv(self, x):
-        x = np.asarray(x, dtype=float)
-        f = np.exp(-2.0 * self.phi(x))
-        return f[..., None, None] * np.eye(self.dim)
-
     def inner(self, x, u, v):
         """g_x(u, v) for batched vectors."""
         f = np.exp(2.0 * self.phi(x))
@@ -76,27 +66,18 @@ class ConformalMetric:
     def norm(self, x, v):
         return np.sqrt(np.real(self.inner(x, v, v)))
 
-    def christoffel(self, x):
-        """Gamma[..., k, i, j] = dk phi terms of the conformal connection."""
-        x = np.asarray(x, dtype=float)
-        dphi = self.grad_phi(x)
-        d = self.dim
-        eye = np.eye(d)
-        out = (np.einsum("ki,...j->...kij", eye, dphi)
-               + np.einsum("kj,...i->...kij", eye, dphi)
-               - np.einsum("ij,...k->...kij", eye, dphi))
-        return out
 
-    def dchristoffel(self, x):
-        """dGamma[..., l, k, i, j] = partial_l Gamma^k_ij."""
-        x = np.asarray(x, dtype=float)
-        H = self.hess_phi(x)
-        d = self.dim
-        eye = np.eye(d)
-        out = (np.einsum("ki,...jl->...lkij", eye, H)
-               + np.einsum("kj,...il->...lkij", eye, H)
-               - np.einsum("ij,...kl->...lkij", eye, H))
-        return out
+def _conn(a, v, w):
+    """``(a.v) w + (a.w) v - (v.w) a`` for column stacks of shape (..., d, k)
+    that broadcast in k.
+
+    With ``a = grad phi`` this is the Levi-Civita connection of
+    ``e^{2 phi} delta``, ``Gamma(v, w)``; with ``a = Hess phi . u`` it is the
+    derivative ``partial_u Gamma(v, w)``.
+    """
+    return ((a * v).sum(-2, keepdims=True) * w
+            + (a * w).sum(-2, keepdims=True) * v
+            - (v * w).sum(-2, keepdims=True) * a)
 
 
 def _flat_metric(dim):
@@ -283,11 +264,12 @@ def _geodesic_rhs(metric):
     together with the parallel transport of the columns of ``e``."""
     def f(_, y):
         x, v = y[0], y[1]
-        gam = metric.christoffel(x)
-        acc = -np.einsum("...kij,...i,...j->...k", gam, v, v)
+        vc = v[..., None]
+        cols = vc if len(y) == 2 else np.concatenate([vc, y[2]], axis=-1)
+        rate = -_conn(metric.grad_phi(x)[..., None], vc, cols)
         if len(y) == 2:
-            return v, acc
-        return v, acc, -np.einsum("...kij,...i,...jm->...km", gam, v, y[2])
+            return v, rate[..., 0]
+        return v, rate[..., 0], rate[..., 1:]
     return f
 
 
@@ -458,14 +440,11 @@ def _variation_rhs(metric):
     coordinates, one column per varied parameter."""
     def f(_, y):
         x, v, J, Jd = y
-        gam = metric.christoffel(x)
-        dgam = metric.dchristoffel(x)
-        acc = -np.einsum("...kij,...i,...j->...k", gam, v, v)
-        dgam_vv = np.einsum("...lki,...i->...lk",
-                            np.einsum("...lkij,...j->...lki", dgam, v), v)
-        Jacc = (-np.einsum("...lk,...lm->...km", dgam_vv, J)
-                - 2.0 * np.einsum("...kij,...i,...jm->...km", gam, v, Jd))
-        return v, acc, Jd, Jacc
+        vc = v[..., None]
+        rate = _conn(metric.grad_phi(x)[..., None], vc,
+                     np.concatenate([vc, Jd], axis=-1))
+        Jacc = -_conn(metric.hess_phi(x) @ J, vc, vc) - 2.0 * rate[..., 1:]
+        return v, -rate[..., 0], Jd, Jacc
     return f
 
 
@@ -520,26 +499,29 @@ class FermiChart:
             base, _, _, w = self._axis(y1, ypp)
             return base + w, np.ones(base.shape[:-1])
         p, J = self._point_and_jacobian(y1, ypp)
-        g = np.swapaxes(J, -1, -2) @ self.metric.g(p) @ J
-        return p, np.sqrt(np.maximum(np.linalg.det(g), 0.0))
+        return p, np.sqrt(np.maximum(np.linalg.det(self._pullback(p, J)), 0.0))
 
     def _point_and_jacobian(self, y1, ypp):
         """F and d F / d(y1, y''), the latter of shape (..., d, m + 1)."""
         base, vel, frame, w = self._axis(y1, ypp)
         if self.metric.is_flat:
             return base + w, np.concatenate([vel[..., None], frame], axis=-1)
-        gam = self.metric.christoffel(base)
         J0 = np.concatenate([vel[..., None], np.zeros_like(frame)], axis=-1)
         # coordinate initial rate to make the covariant initial rate vanish
-        rate = -np.einsum("...kij,...i,...j->...k", gam, w, vel)
-        Jd0 = np.concatenate([rate[..., None], frame], axis=-1)
+        rate = -_conn(self.metric.grad_phi(base)[..., None], w[..., None],
+                      vel[..., None])
+        Jd0 = np.concatenate([rate, frame], axis=-1)
         x, _, J, _ = _shoot(_variation_rhs(self.metric), (base, w, J0, Jd0))
         return x, J
 
+    def _pullback(self, p, J):
+        """``J^T g(p) J`` for ``g = e^{2 phi} delta``."""
+        f = np.exp(2.0 * self.metric.phi(p))[..., None, None]
+        return f * (np.swapaxes(J, -1, -2) @ J)
+
     def pullback_metric(self, y1, ypp):
         """Components of g in Fermi coordinates at (y1, y'')."""
-        p, J = self._point_and_jacobian(y1, ypp)
-        return np.swapaxes(J, -1, -2) @ self.metric.g(p) @ J
+        return self._pullback(*self._point_and_jacobian(y1, ypp))
 
     # -- inverse ------------------------------------------------------------
 

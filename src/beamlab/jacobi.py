@@ -18,8 +18,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import BranchAmbiguity, ConjugatePointHit, SingularAnchor
-from .geometry import rk4_sweep
+from .errors import (BranchAmbiguity, ConjugatePointHit, InvalidArgument,
+                     SingularAnchor)
+from .geometry import _conn, rk4_sweep
 
 __all__ = [
     "CurvaturePath", "ComplexJacobiField", "RiccatiPath",
@@ -53,35 +54,18 @@ class CurvaturePath:
         return float(np.max(np.abs(self.K - np.swapaxes(self.K, 1, 2))))
 
 
-def _riemann_fd(metric, x, step=1e-5):
-    """Riemann tensor components R^k_{b c d} by centered differences of the
-    Christoffel symbols, batched over leading axes of ``x``."""
-    d = metric.dim
-    gam = metric.christoffel(x)
-    dgam = np.empty(x.shape[:-1] + (d, d, d, d))
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = step
-        dgam[..., l, :, :, :] = (metric.christoffel(x + e)
-                                 - metric.christoffel(x - e)) / (2 * step)
-    R = (np.einsum("...ckdb->...kbcd", dgam)
-         - np.einsum("...dkcb->...kbcd", dgam)
-         + np.einsum("...kce,...edb->...kbcd", gam, gam)
-         - np.einsum("...kde,...ecb->...kbcd", gam, gam))
-    return R
-
-
-def curvature_along(path, step=1e-5):
-    """Frame-projected tidal operator ``K_ab(t)`` along a traced geodesic."""
+def curvature_along(path):
+    """Frame-projected tidal operator ``K_ab(t)`` along a traced geodesic,
+    in closed form from the gradient and Hessian of the conformal factor."""
     metric = path.chart.metric
-    x, v, e = path.x, path.v, path.frame
-    R = _riemann_fd(metric, x, step=step)
-    # A(w) = R(w, v) v  with components R^k_{bcd} v^b w^c v^d
-    Aw = np.einsum("...kbcd,...b,...cm,...d->...km", R, v, e, v)
-    g = metric.g(x)
-    K = np.einsum("...km,...kl,...la->...ma", Aw, g, e)
-    K = np.swapaxes(K, 1, 2)        # K[a, m] = g(A(e_a), e_m) -> rows a
-    return CurvaturePath(t=path.t.copy(), K=K)
+    x, v, e = path.x, path.v[..., None], path.frame
+    a, H = metric.grad_phi(x)[..., None], metric.hess_phi(x)
+    # A(e) = R(e, v) v = d_e Gamma(v, v) - d_v Gamma(e, v)
+    #                    + Gamma(e, Gamma(v, v)) - Gamma(v, Gamma(e, v))
+    A = (_conn(H @ e, v, v) - _conn(H @ v, e, v)
+         + _conn(a, e, _conn(a, v, v)) - _conn(a, v, _conn(a, e, v)))
+    f = np.exp(2.0 * metric.phi(x))[..., None, None]
+    return CurvaturePath(t=path.t.copy(), K=f * (np.swapaxes(A, -1, -2) @ e))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +187,7 @@ def epsilon_family(K, eps, anchor="point", tau0=None, pair=None):
 def wronskian(Z, X):
     """Scalar-case Wronskian ``Z' X - X' Z`` on the common grid."""
     if X.m != 1:
-        raise ValueError("wronskian is a scalar-case diagnostic")
+        raise InvalidArgument("wronskian is a scalar-case diagnostic")
     return (Z.Yd[:, 0, 0] * X.Y[:, 0, 0] - X.Yd[:, 0, 0] * Z.Y[:, 0, 0]).real
 
 

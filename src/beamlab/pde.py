@@ -19,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import (ContractionFailure, DirichletEigenvalue, SearchFailed,
-                     SmallDataViolated)
+from .errors import (ContractionFailure, DirichletEigenvalue, InvalidArgument,
+                     SearchFailed, SmallDataViolated)
 
 __all__ = [
     "Axis", "ProductDomain", "SchrodingerSolver", "DNRecord",
@@ -491,7 +491,7 @@ def linearize_divided_difference(solver, V, fs, beta, h=1e-3, r0=0.5):
     """Mixed centered divided differences of the solution map at zero data."""
     beta = tuple(int(b) for b in beta)
     if sum(beta) < 1 or max(beta) > 3:
-        raise ValueError("multi-index entries must be between 0 and 3")
+        raise InvalidArgument("multi-index entries must be between 0 and 3")
 
     def solve_at(eps):
         def fcomb(x0, xp):

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import (IllConditioned, NoConvergence, NonMonotone, NonRealInput)
+from .errors import (IllConditioned, InvalidArgument, NoConvergence,
+                     NonMonotone, NonRealInput)
 from .jacobi import det_root_branch
 
 __all__ = [
@@ -64,7 +65,7 @@ class TransformCurve:
         self.eps = np.asarray(self.eps, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
         if np.any(self.eps <= 0) or np.any(np.diff(self.eps) >= 0):
-            raise ValueError("parameter grid must be positive, strictly decreasing")
+            raise InvalidArgument("parameter grid must be positive, strictly decreasing")
 
     def to_csv(self, path):
         data = np.column_stack([self.eps, self.values.real, self.values.imag])
@@ -167,7 +168,7 @@ def normalization_integral(zeta, eps, n):
         return 2.0 * math.asinh(zeta / eps)
     if n == 4:
         return 2.0 / eps * math.atan(zeta / eps)
-    raise ValueError("dimension must be 3 or 4")
+    raise InvalidArgument("dimension must be 3 or 4")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.interpolate import CubicSpline
 
-from beamlab.cgo import (assemble_cgo, build_amplitude, build_phase,
+from beamlab.cgo import (_transport_sweep, assemble_cgo, build_amplitude,
+                         build_phase,
                          conjugated_defect_norm, dbar_solve,
                          eikonal_defect_exact, quasimode_eval,
                          quasimode_lp_norm, smooth_cutoff)
 from beamlab.cylinder import make_cylinder_grid
 from beamlab.errors import UnsupportedOrder
-from beamlab.geometry import FermiChart, make_chart, trace_geodesic
+from beamlab.geometry import FermiChart, make_chart, rk4_sweep, trace_geodesic
 from beamlab.jacobi import curvature_along, riccati_path, solve_jacobi
 from beamlab.potentials import make_field
 
@@ -116,6 +118,18 @@ class TestPhase:
 
 
 class TestAmplitude:
+    def test_transport_sweep_matches_stagewise_splines(self):
+        # reference: the splines of B and S evaluated at every RK4 stage
+        y1 = np.linspace(-1.1, 1.4, 101)
+        c = np.cos(2.0 * y1)[:, None, None]
+        B = np.array([[1.0, 0.5j], [0.5j, 2.0]]) * (1.0 + c) + 1j * c
+        S = np.stack([np.exp(-y1 ** 2), np.sin(3.0 * y1) + 1j], axis=1)
+        Bs, Ss = CubicSpline(y1, B, axis=0), CubicSpline(y1, S, axis=0)
+        ref = rk4_sweep(lambda t, y: (-Bs(t) @ y[0] + Ss(t),), y1,
+                        (np.zeros(2, dtype=complex),), 40)[0]
+        got = _transport_sweep(y1, B, S, 40)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_v00_branch(self, flat_beam):
         ch, p, K, Y = flat_beam
         ph = build_phase(p, Y, N=2)

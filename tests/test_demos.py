@@ -1,8 +1,11 @@
-"""Static check of the demo scripts against the package API.
+"""Static check of the demo scripts and the benchmark against the package API.
 
 The demos are not run here (some take a minute); each is parsed instead, and
 every name it imports from beamlab must exist, and every keyword it passes to
-an imported function must be a parameter of that function.
+an imported function must be a parameter of that function.  The benchmark's
+workloads are checked the same way, including calls made through an imported
+module (``recon.recover_vm(...)``), and every layer its tracer wraps must
+resolve in the package.
 """
 
 import ast
@@ -12,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def _imported(tree):
@@ -33,20 +38,62 @@ def _imported(tree):
     return names, missing
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_calls_match_signatures(demo):
-    tree = ast.parse(demo.read_text(), filename=str(demo))
-    names, missing = _imported(tree)
-    assert not missing, f"{demo.name} imports missing names: {missing}"
-    bad = []
+def _callee(func, names):
+    """``(label, object)`` of a call to an imported name or to an attribute
+    of an imported module; ``None`` for any other call."""
+    if isinstance(func, ast.Name) and func.id in names:
+        return func.id, names[func.id]
+    if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and inspect.ismodule(names.get(func.value.id))):
+        label = f"{func.value.id}.{func.attr}"
+        return label, getattr(names[func.value.id], func.attr, None)
+    return None
+
+
+def _bad_calls(path):
+    """Unknown imports, attributes and keywords in the calls of a script."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names, bad = _imported(tree)
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in names):
+        hit = _callee(node.func, names) if isinstance(node, ast.Call) else None
+        if hit is None:
             continue
-        params = inspect.signature(names[node.func.id]).parameters
+        label, obj = hit
+        if obj is None:
+            bad.append(f"{label} (line {node.lineno}) does not exist")
+            continue
+        params = inspect.signature(obj).parameters
         if any(p.kind is p.VAR_KEYWORD for p in params.values()):
             continue
-        bad += [f"{node.func.id}({kw.arg}=) at line {node.lineno}"
+        bad += [f"{label}({kw.arg}=) at line {node.lineno}"
                 for kw in node.keywords
                 if kw.arg is not None and kw.arg not in params]
-    assert not bad, f"{demo.name} passes unknown keywords: {bad}"
+    return bad
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_calls_match_signatures(demo):
+    bad = _bad_calls(demo)
+    assert not bad, f"{demo.name} calls unknown names or keywords: {bad}"
+
+
+def test_benchmark_workload_calls_match_signatures():
+    bad = _bad_calls(BENCHMARKS / "workloads.py")
+    assert not bad, f"workloads.py calls unknown names or keywords: {bad}"
+
+
+def test_benchmark_tracer_layers_resolve():
+    tree = ast.parse((BENCHMARKS / "tracer.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS"
+                          for t in node.targets))
+    assert layers
+    missing = []
+    for name, modname, attr in layers:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{name}: {modname}.{attr}")
+    assert not missing, f"traced layers missing from the package: {missing}"

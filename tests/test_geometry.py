@@ -3,9 +3,19 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from beamlab.errors import NonUnitSpeed, OutsideTube
-from beamlab.geometry import (FermiChart, conformal_reduce, make_chart,
+from beamlab.geometry import (FermiChart, _conn, conformal_reduce, make_chart,
                               parallel_frame, trace_geodesic)
 from beamlab.potentials import PotentialSeries, make_field
+
+
+def christoffel(metric, x):
+    """Gamma[k, i, j] of ``e^{2 phi} delta`` from the gradient of phi, as a
+    rank-3 array (the library contracts the closed form instead)."""
+    dphi = metric.grad_phi(x)
+    eye = np.eye(metric.dim)
+    return (np.einsum("ki,j->kij", eye, dphi)
+            + np.einsum("kj,i->kij", eye, dphi)
+            - np.einsum("ij,k->kij", eye, dphi))
 
 
 def reference_exit_time(chart, x, theta):
@@ -14,7 +24,7 @@ def reference_exit_time(chart, x, theta):
 
     def rhs(_, s):
         x, v = s[:metric.dim], s[metric.dim:]
-        gam = metric.christoffel(x)
+        gam = christoffel(metric, x)
         acc = -np.einsum("kij,i,j->k", gam, v, v)
         return np.concatenate([v, acc])
 
@@ -26,6 +36,47 @@ def reference_exit_time(chart, x, theta):
     sol = solve_ivp(rhs, (0.0, 50.0), np.concatenate([x, theta]),
                     rtol=1e-12, atol=1e-12, events=hit, dense_output=True)
     return sol.t_events[0][0]
+
+
+CHARTS = [("flat_disk", {}), ("sphere_cap", {"cap_radius": 1.25}),
+          ("conformal_disk", {})]
+
+
+class TestConnection:
+    @staticmethod
+    def sample(kind, params, n):
+        rng = np.random.default_rng(7)
+        m = make_chart(kind, n=n, params=params).metric
+        x = np.array([0.2, -0.1, 0.15][:m.dim])
+        return m, x, rng.standard_normal((3, m.dim, 2))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind,params", CHARTS)
+    def test_gamma_vs_metric_differences(self, kind, params, n):
+        # Gamma^k_ij = g^kl (d_i g_lj + d_j g_li - d_l g_ij) / 2 with
+        # g = e^{2 phi} delta, from central differences of e^{2 phi}
+        m, x, (v, w, _) = self.sample(kind, params, n)
+        d, h = m.dim, 1e-5
+        f = lambda q: np.exp(2.0 * m.phi(q))
+        df = np.array([(f(x + h * e) - f(x - h * e)) / (2 * h)
+                       for e in np.eye(d)])
+        eye = np.eye(d)
+        gam = (np.einsum("i,kj->kij", df, eye) + np.einsum("j,ki->kij", df, eye)
+               - np.einsum("k,ij->kij", df, eye)) / (2.0 * f(x))
+        expect = np.einsum("kij,im,jm->km", gam, v, w)
+        got = _conn(m.grad_phi(x)[:, None], v, w)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind,params", CHARTS)
+    def test_hessian_form_vs_gamma_differences(self, kind, params, n):
+        m, x, (v, w, u) = self.sample(kind, params, n)
+        h = 1e-5
+        gam = lambda q: _conn(m.grad_phi(q)[:, None], v, w)
+        expect = np.stack([(gam(x + h * uc) - gam(x - h * uc))[:, j]
+                           for j, uc in enumerate(u.T)], axis=1) / (2 * h)
+        got = _conn(m.hess_phi(x) @ u, v, w)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
 
 
 class TestTraceGeodesic:
@@ -109,7 +160,7 @@ class TestParallelFrame:
         def rhs(t, e):
             xx = p.point(t)
             vv = p.velocity(t)
-            gam = m.christoffel(xx)
+            gam = christoffel(m, xx)
             return -np.einsum("kij,i,j->k", gam, vv, e)
 
         sol = solve_ivp(rhs, (0.0, p.tau_plus), p.frame_at(0.0)[:, 0],
@@ -220,6 +271,24 @@ class TestFermi:
         expect = (p.point(0.0) + T[..., None] * p.velocity(0.0)
                   + np.einsum("...m,dm->...d", ypp, p.frame_at(0.0)))
         assert np.array_equal(FermiChart(p).forward(T, ypp)[0], expect)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind,params", [
+        ("sphere_cap", {"cap_radius": 1.2}), ("conformal_disk", {})])
+    def test_jacobian_vs_forward_differences(self, kind, params, n):
+        ch = make_chart(kind, n=n, params=params)
+        x = np.array([0.1, -0.05, 0.05][:n - 1])
+        theta = np.array([0.6, 0.8, 0.3][:n - 1])
+        fc = FermiChart(trace_geodesic(ch, x, theta / ch.metric.norm(x, theta)))
+        y = np.array([0.3, 0.08, -0.05][:n - 1])
+        _, J = fc._point_and_jacobian(y[0], y[1:])
+        h = 1e-5
+        fd = []
+        for e in np.eye(n - 1):
+            yp, ym = y + h * e, y - h * e
+            fd.append((fc.forward(yp[0], yp[1:])[0]
+                       - fc.forward(ym[0], ym[1:])[0]) / (2 * h))
+        assert np.max(np.abs(J - np.stack(fd, axis=-1))) <= 1e-8
 
     def test_outside_tube(self):
         with pytest.raises(OutsideTube):

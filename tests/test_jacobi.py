@@ -48,17 +48,33 @@ class TestCurvature:
 
         def gauss_from_g(pt, h=1e-4):
             def logE(q):
-                return np.log(ch.metric.g(q)[0, 0])
+                return np.log(np.exp(2.0 * ch.metric.phi(q)))
             lap = 0.0
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
                 lap += (logE(pt + e) - 2 * logE(pt) + logE(pt - e)) / h ** 2
-            E = ch.metric.g(pt)[0, 0]
+            E = np.exp(2.0 * ch.metric.phi(pt))
             return -0.5 * lap / E
 
         for i in range(0, len(p.t), 400):
             assert K.K[i, 0, 0] == pytest.approx(gauss_from_g(p.x[i]), abs=2e-6)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sphere_exact(self, n):
+        K = curvature_along(cap_path(n=n))
+        assert np.max(np.abs(K.K - np.eye(n - 2))) <= 1e-12
+
+    def test_conformal_exact(self):
+        # Gauss curvature of e^{2 phi} delta is -e^{-2 phi} (Laplacian phi)
+        ch = make_chart("conformal_disk", n=3)
+        x = np.array([0.15, -0.05])
+        th = np.array([0.7, 0.7])
+        p = trace_geodesic(ch, x, th / ch.metric.norm(x, th))
+        K = curvature_along(p)
+        gauss = (-np.exp(-2.0 * ch.metric.phi(p.x))
+                 * np.trace(ch.metric.hess_phi(p.x), axis1=1, axis2=2))
+        assert np.max(np.abs(K.K[:, 0, 0] - gauss)) <= 1e-12
 
 
 class TestSolveJacobi:

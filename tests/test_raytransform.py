@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from beamlab.errors import NoConvergence, NonMonotone, NonRealInput
+from beamlab.errors import (BeamlabError, InvalidArgument, NoConvergence,
+                            NonMonotone, NonRealInput)
 from beamlab.geometry import make_chart, trace_geodesic
-from beamlab.jacobi import (curvature_along, det_root_branch, epsilon_family,
-                            real_pair)
+from beamlab.jacobi import (ComplexJacobiField, curvature_along,
+                            det_root_branch, epsilon_family, real_pair,
+                            wronskian)
+from beamlab.pde import linearize_divided_difference
 from beamlab.raytransform import (GeodesicSample, TransformCurve,
                                   invert_j1_moments, invert_j1_point_split,
                                   invert_j2_point, j1_forward, j2_forward,
@@ -110,6 +113,21 @@ class TestNormalization:
         for eps in (1e-2, 1e-3, 1e-4):
             val = normalization_integral(0.5, eps, 4) * eps
             assert val == pytest.approx(np.pi, rel=5e-2 * eps / 1e-2 + 1e-2)
+
+
+def test_invalid_arguments_are_named():
+    assert issubclass(InvalidArgument, BeamlabError)
+    t = np.linspace(0.0, 1.0, 5)
+    Y = ComplexJacobiField(t=t, Y=np.zeros((5, 2, 2)), Yd=np.zeros((5, 2, 2)),
+                           tau0=0.0, Y0=np.zeros((2, 2)), Y1=np.eye(2))
+    with pytest.raises(InvalidArgument, match="scalar-case"):
+        wronskian(Y, Y)
+    with pytest.raises(InvalidArgument, match="between 0 and 3"):
+        linearize_divided_difference(None, None, [], (4,))
+    with pytest.raises(InvalidArgument, match="3 or 4"):
+        normalization_integral(1.0, 0.1, 5)
+    with pytest.raises(InvalidArgument, match="strictly decreasing"):
+        TransformCurve(eps=[0.1, 0.2], values=[1, 2], kind="second")
 
 
 class TestTransformCurve:
