@@ -164,19 +164,27 @@ def task_invert(cfg, chart, outdir):
     raise ConfigInvalid("invert.route", f"unknown route {route!r}")
 
 
-def task_solve(cfg, chart, outdir):
-    from .pde import SchrodingerSolver, disk_cylinder_domain, solve_semilinear
-    block = cfg.get("solve", {})
+def _grid_problem(cfg, chart, where):
+    """Solver, series, datum and ``r0`` of the grid tasks ``solve`` and
+    ``dn``, read from the config block ``where``."""
+    from .pde import SchrodingerSolver, disk_cylinder_domain
+    block = cfg.get(where, {})
     if chart.n != 3:
-        raise ConfigInvalid("solve", "grid solves ship for n = 3 charts")
+        raise ConfigInvalid(where, "grid solves ship for n = 3 charts")
     nx0, nr, nphi = block.get("grid", [49, 24, 24])
     dom = disk_cylinder_domain(chart, int(nx0), int(nr), int(nphi))
     V = series_from_config(cfg.get("potentials", {}))
     x0, xp = dom.points()
     V1f = V.eval_k(1, x0, xp) if 1 in V.coeffs else None
     solver = SchrodingerSolver(dom, V1_field=V1f)
-    f = field_from_config(_require(block, "f", dict, "solve"))
-    u, info = solve_semilinear(solver, V, f, r0=float(block.get("r0", 0.5)))
+    f = field_from_config(_require(block, "f", dict, where))
+    return solver, V, f, float(block.get("r0", 0.5))
+
+
+def task_solve(cfg, chart, outdir):
+    from .pde import solve_semilinear
+    solver, V, f, r0 = _grid_problem(cfg, chart, "solve")
+    u, info = solve_semilinear(solver, V, f, r0=r0)
     rep = {"iterations": info["iterations"],
            "contraction": info["contraction"],
            "sup_ratio": info["sup_ratio"],
@@ -189,18 +197,9 @@ def task_solve(cfg, chart, outdir):
 
 
 def task_dn(cfg, chart, outdir):
-    from .pde import SchrodingerSolver, disk_cylinder_domain, dn_map
-    block = cfg.get("dn", {})
-    if chart.n != 3:
-        raise ConfigInvalid("dn", "grid solves ship for n = 3 charts")
-    nx0, nr, nphi = block.get("grid", [49, 24, 24])
-    dom = disk_cylinder_domain(chart, int(nx0), int(nr), int(nphi))
-    V = series_from_config(cfg.get("potentials", {}))
-    x0, xp = dom.points()
-    V1f = V.eval_k(1, x0, xp) if 1 in V.coeffs else None
-    solver = SchrodingerSolver(dom, V1_field=V1f)
-    f = field_from_config(_require(block, "f", dict, "dn"))
-    _, records = dn_map(solver, V, f, r0=float(block.get("r0", 0.5)))
+    from .pde import dn_map
+    solver, V, f, r0 = _grid_problem(cfg, chart, "dn")
+    _, records = dn_map(solver, V, f, r0=r0)
     out = os.path.join(outdir, "dn_records.csv")
     with open(out, "w") as fh:
         fh.write("face,side,index,f_re,f_im,dn_re,dn_im\n")

@@ -135,48 +135,42 @@ SOLVE_TOL, SOLVE_MAXIT = 1e-10, 40
 def s_a_apply(h, dx, a):
     """Inverse of (d/dx + a) on the line, restricted to the input window.
 
-    For kernels that die out inside the padding this divides by the symbol
-    (i xi + a) on a zero-padded grid.  Slowly decaying kernels (|a| small,
-    e.g. near-resonant modes) would wrap under periodization, so they are
-    convolved linearly instead, with exact cell integrals of the one-sided
-    exponential kernel; that reproduces the decaying line solution on the
-    window regardless of |a|.
+    ``h`` holds line samples along axis 0 and ``a`` broadcasts against
+    ``h.shape[1:]``, one symbol parameter per column.  For kernels that die
+    out inside the padding this divides by the symbol (i xi + a) on a
+    zero-padded grid.  Slowly decaying kernels (|a| small, e.g. near-resonant
+    modes) would wrap under periodization, so they are convolved linearly
+    instead, with exact cell integrals of the one-sided exponential kernel;
+    that reproduces the decaying line solution on the window regardless of
+    |a|.  The branch is picked per column.
     """
-    if a == 0:
-        raise ZeroSymbol("symbol parameter must be nonzero")
     h = np.asarray(h, dtype=complex)
+    a = np.broadcast_to(a, h.shape[1:])
+    if np.any(a == 0):
+        raise ZeroSymbol("symbol parameter must be nonzero")
     n = h.shape[0]
     npad = S_A_PAD * n
-    shape = (npad,) + (1,) * (h.ndim - 1)
-    if abs(a) * (npad - n) * dx >= 40.0:
-        lead = (npad - n) // 2
-        buf = np.zeros((npad,) + h.shape[1:], dtype=complex)
-        buf[lead:lead + n] = h
-        xi = 2.0 * np.pi * np.fft.fftfreq(npad, dx)
-        out = np.fft.ifft(np.fft.fft(buf, axis=0)
-                          / (1j * xi + a).reshape(shape), axis=0)
-        return out[lead:lead + n]
-    # linear convolution with the causal/anticausal exponential kernel;
-    # kernel support (npad - n cells) and signal (n cells) fit in the pad,
-    # so the circular product realizes the non-circular convolution exactly
+    # the kernel support (npad - n cells) and the signal (n cells) fit in the
+    # pad, so the circular product realizes the non-circular convolution
     buf = np.zeros((npad,) + h.shape[1:], dtype=complex)
     buf[:n] = h
-    ker = np.zeros(npad, dtype=complex)
-    mmax = npad - n - 1
-    m = np.arange(1, mmax)
-    if np.real(a) >= 0:
-        # u(x) = int_0^inf e^{-a s} h(x - s) ds; cell integrals of the kernel
-        ker[0] = (1.0 - np.exp(-a * dx / 2)) / (a * dx)
-        ker[1:mmax] = (np.exp(-a * (m * dx - dx / 2))
-                       - np.exp(-a * (m * dx + dx / 2))) / (a * dx)
-    else:
-        # u(x) = -int_0^inf e^{a s} h(x + s) ds; kernel at negative lags
-        ker[0] = -(np.exp(a * dx / 2) - 1.0) / (a * dx)
-        ker[npad - m] = -(np.exp(a * (m * dx + dx / 2))
-                          - np.exp(a * (m * dx - dx / 2))) / (a * dx)
-    out = np.fft.ifft(np.fft.fft(buf, axis=0)
-                      * np.fft.fft(ker).reshape(shape) * dx, axis=0)
-    return out[:n]
+    buf = np.fft.fft(buf, axis=0)
+    spectral = np.abs(a) * (npad - n) * dx >= 40.0
+    xi = 2.0 * np.pi * np.fft.fftfreq(npad, dx)
+    buf[:, spectral] /= 1j * xi[:, None] + a[spectral]
+    # u(x) = int_0^inf e^{-a s} h(x - s) ds for Re a >= 0 and
+    # u(x) = -int_0^inf e^{a s} h(x + s) ds otherwise: cell integrals of the
+    # kernel e^{-b s}, b = a sign(Re a), at the lags m sign(Re a)
+    sign = np.where(np.real(a[~spectral]) >= 0, 1, -1)
+    b = sign * a[~spectral]
+    m = np.arange(npad - n - 1)[:, None]
+    ker = np.zeros((npad, b.size), dtype=complex)
+    cells = np.where(m == 0, 1.0 - np.exp(-b * dx / 2),
+                     np.exp(-b * (m * dx - dx / 2))
+                     - np.exp(-b * (m * dx + dx / 2))) / (b * dx)
+    np.put_along_axis(ker, (sign * m) % npad, sign * cells, axis=0)
+    buf[:, ~spectral] *= np.fft.fft(ker, axis=0) * dx
+    return np.fft.ifft(buf, axis=0)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +206,15 @@ def _free_solve(Fw, grid, lam, basis, keep=None):
     if gap.size and np.min(gap) < RESONANCE_MARGIN:
         raise ResonantLambda(
             f"lambda^2 within {RESONANCE_MARGIN} of a retained eigenvalue")
+    root = np.sqrt(mu[keep])
+    # short-range factor first: the intermediate stays supported near the
+    # window, so the long-range pass remains exact on it
+    a_big, a_small = lam + root, lam - root
+    swap = np.abs(a_small) > np.abs(a_big)
+    a_big, a_small = np.where(swap, a_small, a_big), np.where(swap, a_big, a_small)
     Rhat = np.zeros_like(Fhat)
-    sq = np.sqrt(mu)
-    idxs = np.argwhere(keep)
-    for idx in idxs:
-        key = tuple(idx)
-        root = sq[key]
-        # short-range factor first: the intermediate stays supported near the
-        # window, so the long-range pass remains exact on it
-        a_big, a_small = sorted((lam + root, lam - root), key=abs,
-                                reverse=True)
-        h = s_a_apply(Fhat[(slice(None),) + key], grid.dx0, a_big)
-        Rhat[(slice(None),) + key] = -s_a_apply(h, grid.dx0, a_small)
+    Rhat[:, keep] = -s_a_apply(s_a_apply(Fhat[:, keep], grid.dx0, a_big),
+                               grid.dx0, a_small)
     R = np.fft.ifftn(Rhat, axes=taxes)
     lost = float(np.sum(energy[~keep]) / total)
     return R, keep, lost

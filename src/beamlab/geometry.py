@@ -277,8 +277,8 @@ def _geodesic_rhs(metric):
 class GeodesicPath:
     """Unit-speed maximal geodesic with frame and extension margin.
 
-    Samples cover ``[tau_minus - margin, tau_plus + margin]``; the anchor
-    ``t = 0`` is always a sample node.
+    Samples sit at the nodes ``t = k h`` (the anchor ``t = 0`` is one) and
+    reach at least the margin past ``tau_minus`` and ``tau_plus``.
     """
 
     chart: CtaChart
@@ -339,39 +339,48 @@ def _orthonormal_complement(metric, x, theta):
     return np.stack(basis[1:], axis=-1)    # (d, d-1), excludes theta
 
 
-def _find_exit(chart, x0, v0, h):
-    """Arc length to the boundary along (x0, v0), refined by bisection."""
+# longest arc length searched for a boundary exit
+MAX_LENGTH = 50.0
+
+
+def _walk(chart, y0, h, margin):
+    """Frame-carrying RK4 from the anchor state ``y0`` over the nodes
+    ``t = k h`` (``h < 0`` walks backward) to the first node at least
+    ``margin`` past the exit, found by bisecting the step that leaves the
+    chart on partial ``(x, v)`` steps.  Returns the exit time and the states.
+    """
     f = _geodesic_rhs(chart.metric)
-    x, v = x0.copy(), v0.copy()
-    t = 0.0
-    while t < MAX_LENGTH:
-        xn, vn = rk4_step(f, 0.0, (x, v), h)
-        if chart.boundary_defect(xn) < 0.0:
+    # exit times sum the steps, not k h: recover_v2's interior mask reads
+    # their last bit
+    ys, t, tau = [y0], 0.0, None
+    while tau is None or (len(ys) - 1) * abs(h) < abs(tau) + margin:
+        if tau is None and abs(t) >= MAX_LENGTH:
+            raise TrappedGeodesic(
+                f"no boundary exit within arc length {MAX_LENGTH}")
+        ys.append(rk4_step(f, t, ys[-1], h))
+        if tau is None and chart.boundary_defect(ys[-1][0]) < 0.0:
+            xv = ys[-2][:2]
             lo, hi = 0.0, h
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                xm, _ = rk4_step(f, 0.0, (x, v), mid)
-                if chart.boundary_defect(xm) < 0.0:
+                if chart.boundary_defect(rk4_step(f, 0.0, xv, mid)[0]) < 0.0:
                     hi = mid
                 else:
                     lo = mid
-                if hi - lo < 1e-13:
+                if abs(hi - lo) < 1e-13:
                     break
-            return t + 0.5 * (lo + hi)
-        x, v, t = xn, vn, t + h
-    raise TrappedGeodesic(f"no boundary exit within arc length {MAX_LENGTH}")
-
-
-# longest arc length searched for a boundary exit
-MAX_LENGTH = 50.0
+            tau = t + 0.5 * (lo + hi)
+        t += h
+    return tau, ys
 
 
 def trace_geodesic(chart, x, theta, h=1e-3, margin=None):
     """Trace the maximal unit-speed geodesic through ``x`` with direction ``theta``.
 
-    Returns a :class:`GeodesicPath` sampled on a uniform-step grid (separate
-    uniform steps backward/forward of the anchor), extended past the exit
-    times by the chart margin.  Raises ``NonUnitSpeed`` / ``TrappedGeodesic``.
+    Each half is integrated once, with its parallel frame, on the nodes
+    ``t = k h`` and stops at the first node at least the chart margin past
+    its exit time.  Returns a :class:`GeodesicPath`.  Raises
+    ``NonUnitSpeed`` / ``TrappedGeodesic``.
     """
     metric = chart.metric
     x = np.asarray(x, dtype=float)
@@ -382,18 +391,11 @@ def trace_geodesic(chart, x, theta, h=1e-3, margin=None):
         raise NonUnitSpeed(f"|theta|_g = {metric.norm(x, theta)!r}")
     margin = chart.extension_margin if margin is None else float(margin)
 
-    tau_plus = _find_exit(chart, x, theta, h)
-    tau_minus = -_find_exit(chart, x, -theta, h)
-
-    e0 = _orthonormal_complement(metric, x, theta)
-
-    def nodes(t_end):
-        return np.linspace(0.0, t_end, max(2, int(math.ceil(t_end / h)) + 1))
-
-    tb = nodes(margin - tau_minus)
-    t = np.concatenate([-tb[::-1], nodes(tau_plus + margin)[1:]])
-    xs, vs, es = rk4_sweep(_geodesic_rhs(metric), t, (x, theta, e0),
-                           len(tb) - 1)
+    y0 = (x, theta, _orthonormal_complement(metric, x, theta))
+    tau_plus, fwd = _walk(chart, y0, h, margin)
+    tau_minus, bwd = _walk(chart, y0, -h, margin)
+    xs, vs, es = (np.stack(c) for c in zip(*(bwd[:0:-1] + fwd)))
+    t = h * np.arange(1 - len(bwd), len(fwd))
 
     speeds = metric.norm(xs, vs)
     defect = float(np.max(np.abs(speeds - 1.0)))
@@ -420,9 +422,9 @@ def parallel_frame(path, basis):
         if abs(metric.inner(x0, c, v0)) > 1e-8:
             raise DegenerateBasis("frame vector not orthogonal to the velocity")
 
-    i0 = int(np.argmin(np.abs(path.t)))
-    y0 = (path.x[i0], path.v[i0], basis)
-    return rk4_sweep(_geodesic_rhs(metric), path.t, y0, i0)[2]
+    # transport is linear: the basis keeps its coordinates in the traced frame
+    e0 = path.frame[int(np.argmin(np.abs(path.t)))]
+    return path.frame @ (np.exp(2.0 * metric.phi(x0)) * e0.T @ basis)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,14 @@ class ComplexJacobiField:
                    header=",".join(names), comments="", fmt="%.12g")
 
 
+def _sweep(K, tau0, Y0, Y1):
+    """RK4 for ``(Y, Y')`` over K's grid from (m, k) anchor data at ``tau0``,
+    starting at the node nearest tau0."""
+    i0 = int(np.argmin(np.abs(K.t - tau0)))
+    return rk4_sweep(lambda t, y: (y[1], -K.at(t) @ y[0]), K.t, (Y0, Y1), i0,
+                     t0=tau0)
+
+
 def solve_jacobi(K, tau0, Y0, Y1, require_admissible=False):
     """Solve the matrix deviation equation with anchor data at ``tau0``."""
     m = K.m
@@ -148,11 +156,7 @@ def solve_jacobi(K, tau0, Y0, Y1, require_admissible=False):
         if sym > 1e-10 or im_min <= 0:
             raise SingularAnchor("anchor fails the admissibility condition")
         admissible = True
-    # RK4 on the first-order system for (Y, Y') over K's grid, starting at
-    # the node nearest tau0
-    i0 = int(np.argmin(np.abs(K.t - tau0)))
-    Y, Yd = rk4_sweep(lambda t, y: (y[1], -K.at(t) @ y[0]), K.t,
-                      (Y0m, Y1m), i0, t0=tau0)
+    Y, Yd = _sweep(K, tau0, Y0m, Y1m)
     return ComplexJacobiField(t=K.t, Y=Y, Yd=Yd, tau0=float(tau0),
                               Y0=Y0m, Y1=Y1m, admissible=admissible)
 
@@ -164,10 +168,14 @@ def real_pair(K, anchor="point", tau0=None):
     m = K.m
     if tau0 is None:
         tau0 = 0.0 if anchor == "point" else float(K.t[0])
-    eye = np.eye(m)
-    zero = np.zeros((m, m))
-    X = solve_jacobi(K, tau0, zero, eye)
-    Z = solve_jacobi(K, tau0, eye, zero)
+    eye = np.eye(m, dtype=complex)
+    zero = np.zeros((m, m), dtype=complex)
+    # one sweep of the stacked columns [X | Z]
+    Y, Yd = _sweep(K, tau0, np.hstack([zero, eye]), np.hstack([eye, zero]))
+    X = ComplexJacobiField(t=K.t, Y=Y[..., :m], Yd=Yd[..., :m],
+                           tau0=float(tau0), Y0=zero, Y1=eye)
+    Z = ComplexJacobiField(t=K.t, Y=Y[..., m:], Yd=Yd[..., m:],
+                           tau0=float(tau0), Y0=eye, Y1=zero)
     return X, Z
 
 

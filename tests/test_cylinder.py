@@ -25,6 +25,25 @@ class TestSA:
         with pytest.raises(ZeroSymbol):
             s_a_apply(self.h, self.dx, 0.0)
 
+    def test_batched_matches_columns(self):
+        # |a| (npad - n) dx >= 40 picks the FFT branch: |a| >= 40 / 15.36
+        a = np.array([[5.0, -5.0, 0.3 + 2.0j],
+                      [-0.3 - 1.0j, 40.0, -12.0 + 1.0j]])
+        rng = np.random.default_rng(5)
+        h = self.h[:, None, None] * rng.standard_normal((1,) + a.shape)
+        out = s_a_apply(h, self.dx, a)
+        assert out.shape == h.shape
+        for idx in np.ndindex(a.shape):
+            col = s_a_apply(h[(slice(None),) + idx], self.dx, a[idx])
+            np.testing.assert_allclose(out[(slice(None),) + idx], col,
+                                       rtol=0, atol=1e-14)
+        # a scalar broadcasts against every column
+        np.testing.assert_allclose(
+            s_a_apply(h, self.dx, 5.0)[:, 0, 0],
+            s_a_apply(h[:, 0, 0], self.dx, 5.0), rtol=0, atol=1e-14)
+        with pytest.raises(ZeroSymbol):
+            s_a_apply(h, self.dx, np.where(a == 40.0, 0.0, a))
+
     def test_single_mode_gain(self):
         # a pure oscillation is scaled by 1/|i xi0 + a|
         xi0 = 2.0 * np.pi * 10 / (self.n * self.dx)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from beamlab import geometry
 from beamlab.errors import NonUnitSpeed, OutsideTube
 from beamlab.geometry import (FermiChart, _conn, conformal_reduce, make_chart,
                               parallel_frame, trace_geodesic)
@@ -131,6 +132,29 @@ class TestTraceGeodesic:
         p = trace_geodesic(ch, x, th, h=1e-3)
         assert p.unit_speed_defect <= 1e-6
 
+    @pytest.mark.parametrize("kind,params", [
+        ("flat_disk", {}), ("sphere_cap", {"cap_radius": 1.25})])
+    def test_integrates_once(self, kind, params, monkeypatch):
+        # one RK4 step per sample interval, plus at most 60 bisection steps
+        # for each of the two exits
+        calls = []
+        step = geometry.rk4_step
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(geometry, "rk4_step", counted)
+        ch = make_chart(kind, n=3, params=params)
+        x = np.array([0.2, 0.1])
+        th = np.array([1.0, 0.4])
+        p = trace_geodesic(ch, x, th / ch.metric.norm(x, th))
+        assert len(calls) <= len(p.t) - 1 + 120
+        # the samples reach at least the margin past each exit
+        margin = ch.extension_margin
+        assert p.t[0] <= p.tau_minus - margin < p.t[1]
+        assert p.t[-2] < p.tau_plus + margin <= p.t[-1]
+
     def test_n4_ball(self):
         ch = make_chart("flat_disk", n=4)
         p = trace_geodesic(ch, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
@@ -178,6 +202,28 @@ class TestParallelFrame:
         # transport out and back: compare against the stored forward frame
         np.testing.assert_allclose(e[0], p.frame[0], atol=1e-9)
         np.testing.assert_allclose(e[-1], p.frame[-1], atol=1e-9)
+
+    def test_rotated_basis_vs_reference(self):
+        ch = make_chart("sphere_cap", n=4, params={"cap_radius": 1.2})
+        m = ch.metric
+        x = np.array([0.1, -0.05, 0.05])
+        th = np.array([0.6, 0.8, 0.3])
+        p = trace_geodesic(ch, x, th / m.norm(x, th))
+        c, s = np.cos(0.7), np.sin(0.7)
+        basis = p.frame_at(0.0) @ np.array([[c, -s], [s, c]])
+        e = parallel_frame(p, basis)
+        assert e.shape == p.frame.shape
+
+        def rhs(t, y):
+            gam = christoffel(m, p.point(t))
+            return -np.einsum("kij,i,jm->km", gam, p.velocity(t),
+                              y.reshape(3, 2)).ravel()
+
+        for i in (0, -1):
+            sol = solve_ivp(rhs, (0.0, p.t[i]), basis.ravel(),
+                            rtol=1e-11, atol=1e-12)
+            np.testing.assert_allclose(e[i], sol.y[:, -1].reshape(3, 2),
+                                       atol=1e-8)
 
     def test_degenerate_basis_rejected(self):
         from beamlab.errors import DegenerateBasis

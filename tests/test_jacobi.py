@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from beamlab import jacobi
 from beamlab.errors import ConjugatePointHit, SingularAnchor
 from beamlab.geometry import make_chart, trace_geodesic
 from beamlab.jacobi import (ComplexJacobiField, CurvaturePath, conjugate_scan,
@@ -118,6 +119,40 @@ class TestSolveJacobi:
         K = curvature_along(flat_path())
         with pytest.raises(SingularAnchor):
             solve_jacobi(K, 0.0, [[0.0]], [[1.0]], require_admissible=True)
+
+
+class TestRealPair:
+    @pytest.mark.parametrize("kind,params,n", [
+        ("sphere_cap", {"cap_radius": 1.25}, 3), ("conformal_disk", {}, 4)])
+    @pytest.mark.parametrize("at_entry", [False, True])
+    def test_one_sweep_matches_two_solves(self, kind, params, n, at_entry,
+                                          monkeypatch):
+        ch = make_chart(kind, n=n, params=params)
+        x = np.array([0.1, -0.05, 0.05][:n - 1])
+        th = np.array([0.6, 0.8, 0.3][:n - 1])
+        path = trace_geodesic(ch, x, th / ch.metric.norm(x, th))
+        K = curvature_along(path)
+        # the anchor 0 is a node, tau_minus is not
+        tau0 = path.tau_minus if at_entry else 0.0
+        calls = []
+        sweep = jacobi.rk4_sweep
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(jacobi, "rk4_sweep", counted)
+        X, Z = real_pair(K, tau0=tau0)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        eye, zero = np.eye(n - 2), np.zeros((n - 2, n - 2))
+        for got, Y0, Y1 in ((X, zero, eye), (Z, eye, zero)):
+            ref = solve_jacobi(K, tau0, Y0, Y1)
+            assert got.tau0 == ref.tau0
+            assert np.array_equal(got.Y0, ref.Y0)
+            assert np.array_equal(got.Y1, ref.Y1)
+            np.testing.assert_allclose(got.Y, ref.Y, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(got.Yd, ref.Yd, rtol=0, atol=1e-14)
 
 
 class TestEpsilonFamily:
