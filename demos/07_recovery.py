@@ -1,7 +1,7 @@
 """End-to-end coefficient recovery from synthesized interaction data.
 
-A coarse run (five product frequencies, one target point) so the whole
-pipeline finishes in about a minute; the acceptance suite runs the full one.
+A coarse run (five product frequencies, one target point) that finishes in
+about a second; the acceptance suite runs the full one.
 
 Run:  python3 demos/07_recovery.py
 """

@@ -350,8 +350,6 @@ def _walk(chart, y0, h, margin):
     chart on partial ``(x, v)`` steps.  Returns the exit time and the states.
     """
     f = _geodesic_rhs(chart.metric)
-    # exit times sum the steps, not k h: recover_v2's interior mask reads
-    # their last bit
     ys, t, tau = [y0], 0.0, None
     while tau is None or (len(ys) - 1) * abs(h) < abs(tau) + margin:
         if tau is None and abs(t) >= MAX_LENGTH:

@@ -146,52 +146,69 @@ def _beam_width(phase, amp, lam, ny1):
 TUBE_NX0, TUBE_NY1, TUBE_NS = 49, 161, 41
 
 
-def tube_interaction(bundle, field_fn, phase, amp, factors, lam):
-    """lambda^{d/2} * integral of field * prod_k q_k^{p_k} over I x tube.
+def tube_interaction(bundle, field_fn, phase, amp, factor_sets, lam, sigmas):
+    """lambda^{d/2} * integral of field * prod_k q_k^{p_k} over I x tube, for
+    every sigma in ``sigmas`` and every factor set: an (n_sigma, n_sets) array.
 
-    ``factors`` holds one ``(rho, sign, power)`` per factor ``q_k``: the beam
-    ``(phase, amp)`` of that sign at rho, growth removed.  A principal-part
-    beam depends on x0 only through ``e^{i Im(rho) x0}``, so the field is
-    transformed in x0 once (Simpson weights times ``e^{i sigma x0}``, sigma =
-    sum_k p_k Im rho_k) and the beams are evaluated on the tube at x0 = 0.
-    The tube grid is mapped to the chart by the Fermi chart of the bundle's
-    geodesic.  Subprincipal (x0, axis) grids raise ``ModeMismatch``.
+    A factor set holds one ``(c, sign, power)`` per factor ``q_k``: the beam
+    ``(phase, amp)`` of that sign at ``c rho``, ``rho = lam + i sigma``, growth
+    removed.  A principal-part beam at ``c rho`` is ``e^{i c sigma x0}`` times
+    its value at ``c lam`` times ``e^{-c sigma theta_s}`` (``theta_+ = theta``,
+    ``theta_- = conj theta``).  So the tube (Fermi map, beam width, jets) is
+    built once for all sigma, the beams are evaluated at real frequencies and
+    x0 = 0, and the field is transformed in x0 for every sigma in one matrix
+    product (Simpson weights times ``e^{i s sigma x0}``, ``s = sum_k p_k
+    c_k``).  Subprincipal (x0, axis) grids raise ``ModeMismatch``.
     """
     if amp.v1_plus is not None:
         raise ModeMismatch(
             "the tube interaction integrates principal-part beams; the "
             "amplitude carries subprincipal (x0, axis) grids (n_amp >= 1)")
     chart = bundle.chart
+    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     x0 = np.linspace(*chart.interval, TUBE_NX0)
-    sigma = sum(p * complex(rho).imag for rho, _, p in factors)
-    wx0 = _simpson_weights(TUBE_NX0, x0[1] - x0[0]) * np.exp(1j * sigma * x0)
+    wx0 = _simpson_weights(TUBE_NX0, x0[1] - x0[0])
     width = _beam_width(phase, amp, lam, TUBE_NY1)
     y1, T, ypp, wgt = tube_grid(phase, width, TUBE_NY1, TUBE_NS)
     pts, vol = FermiChart(bundle.path).forward(T, ypp)
-    prod = 1.0
-    for rho, sign, power in factors:
-        prod = prod * quasimode_eval(phase, amp, rho, sign, 0.0, T, ypp) ** power
     # coefficients live on the manifold and extend by zero past the chart
-    fhat = np.einsum("i,ijk->jk", wx0, field_fn(x0[:, None, None], pts[None]))
-    val = np.sum(fhat * chart.inside(pts) * prod * (vol * wgt[:, None]))
+    fv = field_fn(x0[:, None, None], pts[None]).reshape(TUBE_NX0, -1)
+    meas = (chart.inside(pts) * vol * wgt[:, None]).ravel()
+    theta = phase.theta(T, ypp).ravel()
+    out = np.empty((len(sigmas), len(factor_sets)), dtype=complex)
+    for j, factors in enumerate(factor_sets):
+        A, B = meas, 0.0
+        for c, sign, power in factors:
+            q = quasimode_eval(phase, amp, c * lam, sign, 0.0, T, ypp)
+            A = A * q.ravel() ** power
+            B = B - power * c * (theta if sign > 0 else np.conj(theta))
+        s = sum(c * power for c, _, power in factors)
+        w = wx0 * np.exp(1j * s * sigmas[:, None] * x0)
+        # a complex weight matrix would promote the whole field to complex
+        fhat = w.real @ fv + 1j * (w.imag @ fv)
+        out[:, j] = np.sum(fhat * A * np.exp(sigmas[:, None] * B), axis=1)
     d = chart.trans_dim - 1
-    return complex(lam ** (d / 2.0) * val * (y1[1] - y1[0]))
+    return lam ** (d / 2.0) * out * (y1[1] - y1[0])
 
 
 def lambda_extrapolate(lams, values):
     """Fit a + b / sqrt(lambda) (+ c / lambda with four or more rungs)
     and return (a, residual).  The square-root term is the worst-case
     transversal-moment correction; the next order often dominates when the
-    odd moments cancel."""
+    odd moments cancel.  ``values`` has one row per rung; with more axes,
+    each column is fitted on its own and ``a`` and the residual are arrays
+    over the columns."""
     lams = np.asarray(lams, dtype=float)
     vals = np.asarray(values, dtype=complex)
     cols = [np.ones_like(lams), lams ** -0.5]
     if len(lams) >= 4:
         cols.append(lams ** -1.0)
     A = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
-    resid = float(np.max(np.abs(A @ coef - vals)))
-    return complex(coef[0]), resid
+    flat = vals.reshape(len(lams), -1)
+    coef, *_ = np.linalg.lstsq(A, flat, rcond=None)
+    resid = np.max(np.abs(A @ coef - flat), axis=0)
+    shape = vals.shape[1:]
+    return coef[0].reshape(shape)[()], resid.reshape(shape)[()]
 
 
 def _calibration(bundle, Y, eps):
@@ -211,19 +228,18 @@ def _calibration(bundle, Y, eps):
 def dn_moment_v3(task, bundle, eps, sigma, field_fn=None, lams=None):
     """Frequency-ladder interaction data for an (m >= 3)-fold family.
 
-    Synthetic mode: evaluates the tube integral of
-    ``field * (q+ q-)^2`` at each ladder rung and returns the extrapolated
-    limit together with the calibrated transform datum.
+    Synthetic mode: evaluates the tube integral of ``field * (q+ q-)^2`` at
+    each ladder rung for every ``sigma`` (a scalar or a 1-D array) and
+    returns the calibrated transform datum of the extrapolated limit, one
+    per sigma.
     """
     lams = task.lams if lams is None else lams
     Y, phase, amp = bundle.beam(eps, task.N, task.delta)
     if field_fn is None:
         field_fn = task.V.coeff(task.m)
-    vals = []
-    for lam in lams:
-        rho = complex(lam, sigma)
-        vals.append(tube_interaction(bundle, field_fn, phase, amp,
-                                     [(rho, +1, 2), (rho, -1, 2)], lam))
+    vals = [tube_interaction(bundle, field_fn, phase, amp,
+                             [[(1.0, +1, 2), (1.0, -1, 2)]], lam, sigma)
+            .reshape(np.shape(sigma)) for lam in lams]
     limit, resid = lambda_extrapolate(lams, vals)
     cal, s = _calibration(bundle, Y, eps)
     datum = limit * cal * s
@@ -232,23 +248,20 @@ def dn_moment_v3(task, bundle, eps, sigma, field_fn=None, lams=None):
 
 
 def dn_moment_v2(task, bundle, eps, sigma, lams=None):
-    """Two-fold interaction data at doubled frequency, both pairings.
+    """Two-fold interaction data at doubled frequency, both pairings, for
+    every ``sigma`` (a scalar or a 1-D array).
 
-    Returns the calibrated first-kind transform values (S1, S2):
-    S1 pairs (f+, f+) against the doubled minus solution, S2 the conjugates.
+    Returns the calibrated first-kind transform values (S1, S2), one per
+    sigma: S1 pairs (f+, f+) against the doubled minus solution, S2 the
+    conjugates.
     """
     lams = task.lams if lams is None else lams
     Y, phase, amp = bundle.beam(eps, task.N, task.delta, 0, None)
     V2 = task.V.coeff(2)
-    s1_vals, s2_vals = [], []
-    for lam in lams:
-        rho = complex(lam, sigma)
-        s1_vals.append(tube_interaction(bundle, V2, phase, amp,
-                                        [(rho, +1, 2), (2 * rho, -1, 1)], lam))
-        s2_vals.append(tube_interaction(bundle, V2, phase, amp,
-                                        [(rho, -1, 2), (2 * rho, +1, 1)], lam))
-    lim1, r1 = lambda_extrapolate(lams, s1_vals)
-    lim2, r2 = lambda_extrapolate(lams, s2_vals)
+    pairings = [[(1.0, +1, 2), (2.0, -1, 1)], [(1.0, -1, 2), (2.0, +1, 1)]]
+    vals = [tube_interaction(bundle, V2, phase, amp, pairings, lam, sigma).T
+            .reshape((2,) + np.shape(sigma)) for lam in lams]
+    (lim1, lim2), (r1, r2) = lambda_extrapolate(lams, vals)
     cal, _ = _calibration(bundle, Y, eps)
     return lim1 * cal, lim2 * cal, {"fit_residuals": (r1, r2), "eps": eps}
 
@@ -361,7 +374,7 @@ def fourier_synthesis(task, xi, data, nx0=97):
     return x0g, vals, coef
 
 
-def recover_vm(task, progress=None):
+def recover_vm(task):
     """Pointwise recovery of the m-th coefficient at the bundle anchor
     (m >= 3), second-kind route.
 
@@ -377,23 +390,18 @@ def recover_vm(task, progress=None):
             "series has a V1 term")
     bundle = prepare_bundle(task, anchor="point")
     xi = task.xi_grid()
-    n = task.chart.n
+    table = {}
+    for eps in task.eps_grid:
+        scale = max(1.0, task.lam_eps_ref / eps)
+        lams = tuple(l * scale for l in task.lams)
+        table[eps], _ = dn_moment_v3(task, bundle, eps, -xi / 4.0, lams=lams)
     data = np.empty(len(xi), dtype=complex)
     errs = np.empty(len(xi))
-    for i, k in enumerate(xi):
-        sigma = -k / 4.0
-        cache = {}
-        for eps in task.eps_grid:
-            scale = max(1.0, task.lam_eps_ref / eps)
-            lams = tuple(l * scale for l in task.lams)
-            datum, _ = dn_moment_v3(task, bundle, eps, sigma, lams=lams)
-            cache[eps] = datum
-        rep = invert_j2_point(lambda e: cache[e], list(task.eps_grid),
-                              zeta=task.zeta, n=n)
+    for i in range(len(xi)):
+        rep = invert_j2_point(lambda e: table[e][i], list(task.eps_grid),
+                              zeta=task.zeta, n=task.chart.n)
         data[i] = rep.estimate
         errs[i] = rep.error_bound
-        if progress:
-            progress(i, len(xi))
     x0g, vals, _ = fourier_synthesis(task, xi, data)
     truth = None
     if task.truth is not None:
@@ -420,34 +428,28 @@ def recover_v2(task):
     eps_grid = np.linspace(0.08, 0.9, 3 * (K_max + 1)) / xt_max
 
     xi = task.xi_grid()
-    per_xi = []
-    for k in xi:
-        sigma = -k / 4.0
-        s1_cache, s2_cache = {}, {}
-        for eps in eps_grid:
-            # continuous scaling keeps lambda * eps constant, so the ladder
-            # bias varies smoothly in eps and the moment fit absorbs it
-            scale = task.lam_eps_ref / eps
-            lams = tuple(l * scale for l in task.lams)
-            s1, s2, _ = dn_moment_v2(task, bundle, float(eps), sigma,
-                                     lams=lams)
-            s1_cache[float(eps)] = s1
-            s2_cache[float(eps)] = s2
-        re_or = lambda e: 0.5 * (s1_cache[float(e)]
-                                 + np.conj(s2_cache[float(e)]))
-        im_or = lambda e: (s1_cache[float(e)]
-                           - np.conj(s2_cache[float(e)])) / 2j
-        rec_re, _ = invert_j1_moments(re_or, X, Z, window, K_max=K_max,
-                                      eps_grid=eps_grid)
-        rec_im, _ = invert_j1_moments(im_or, X, Z, window, K_max=K_max,
-                                      eps_grid=eps_grid)
-        per_xi.append((rec_re, rec_im))
-    t_out = per_xi[0][0].t
+    s1_table, s2_table = {}, {}
+    for eps in eps_grid:
+        # continuous scaling keeps lambda * eps constant, so the ladder
+        # bias varies smoothly in eps and the moment fit absorbs it
+        scale = task.lam_eps_ref / eps
+        lams = tuple(l * scale for l in task.lams)
+        s1_table[float(eps)], s2_table[float(eps)], _ = dn_moment_v2(
+            task, bundle, float(eps), -xi / 4.0, lams=lams)
     # assemble the transformed coefficient along gamma, then synthesize per t
-    vals = np.empty((len(xi), len(t_out)), dtype=complex)
+    rows = []
     for i, k in enumerate(xi):
-        fr, fi = per_xi[i]
-        vals[i] = (fr.values + 1j * fi.values) * np.exp(-k * t_out)
+        re_or = lambda e: 0.5 * (s1_table[float(e)][i]
+                                 + np.conj(s2_table[float(e)][i]))
+        im_or = lambda e: (s1_table[float(e)][i]
+                           - np.conj(s2_table[float(e)][i])) / 2j
+        fr, _ = invert_j1_moments(re_or, X, Z, window, K_max=K_max,
+                                  eps_grid=eps_grid)
+        fi, _ = invert_j1_moments(im_or, X, Z, window, K_max=K_max,
+                                  eps_grid=eps_grid)
+        rows.append((fr.values + 1j * fi.values) * np.exp(-k * fr.t))
+    t_out = fr.t
+    vals = np.stack(rows)
     if task.assume_real:
         # real coefficients carry conjugate symmetry across the frequency grid
         vals = 0.5 * (vals + np.conj(vals[::-1]))
@@ -458,7 +460,10 @@ def recover_v2(task):
     if task.truth is not None:
         pts = bundle.path.point(t_out)
         truth = np.asarray(task.truth(x0g[:, None], pts[None]), dtype=complex)
-    interior = np.abs(t_out) <= 0.5 * max(abs(window[0]), abs(window[1]))
+    # t_out has a node on each half-window: a relative slack keeps both in
+    # whatever the last bit of the exit times
+    half = 0.5 * max(abs(window[0]), abs(window[1]))
+    interior = np.abs(t_out) <= half * (1.0 + 1e-9)
     return RecoveredPotential(m=2, x0=x0g, values=field, xi=xi, xi_data=vals,
                               err_est=np.full(len(xi), np.nan), truth=truth,
                               t=t_out, interior=interior)

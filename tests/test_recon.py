@@ -116,13 +116,12 @@ class TestMoments:
         amp2 = build_amplitude(bundle.path, phase2, Y2, N_amp=0,
                                delta=task.delta)
         fld = task.V.coeff(3)
-        rho = complex(lam, sigma)
         vals = []
         for ph, am, yy in ((phase, amp, Y), (phase2, amp2, Y2)):
             D = tube_interaction(bundle, fld, ph, am,
-                                 [(rho, +1, 2), (rho, -1, 2)], lam)
+                                 [[(1.0, +1, 2), (1.0, -1, 2)]], lam, sigma)
             cal, s = _calibration(bundle, yy, eps)
-            vals.append(D * cal * s)
+            vals.append(D[0, 0] * cal * s)
         assert abs(vals[0] - vals[1]) <= 2e-3 * abs(vals[0])
 
 
@@ -155,8 +154,10 @@ class TestTubeInteraction:
         ("flat_disk", {"tube_radius": 0.7}),
         ("sphere_cap", {"cap_radius": 1.25, "tube_radius": 0.7})])
     def test_matches_x0_axis_reference(self, v3_setup, kind, params):
-        # the field's x0 transform at sigma = sum p_k Im rho_k times the beam
-        # product at x0 = 0 equals the integral over every x0 node
+        # one tube pass for every sigma and factor set: the field's x0
+        # transform at s sigma times the beam product at real frequencies
+        # and x0 = 0, times exp(sigma B), equals the integral over every x0
+        # node of the beams at complex rho, sigma by sigma
         task, _ = v3_setup
         task = ReconTask(**{**task.__dict__,
                             "chart": make_chart(kind, n=3, params=params)})
@@ -164,25 +165,31 @@ class TestTubeInteraction:
         _, phase, amp = bundle.beam(0.2, task.N, task.delta)
         fld = task.V.coeff(3)
         lam = 320.0
-        rho = complex(lam, -0.2)
+        # the ends of criterion 10's sigma grid, zero and an interior value
+        sigmas = np.array([-0.5, -0.2, 0.0, 0.5])
         # the v3 set and both v2 pairings
-        sets = ([(rho, +1, 2), (rho, -1, 2)],
-                [(rho, +1, 2), (2 * rho, -1, 1)],
-                [(rho, -1, 2), (2 * rho, +1, 1)])
-        refs = interaction_with_x0_axis(bundle, fld, phase, amp, sets, lam)
-        for factors, ref in zip(sets, refs):
-            got = tube_interaction(bundle, fld, phase, amp, factors, lam)
-            assert abs(got - ref) <= 1e-12 * abs(ref)
+        sets = ([(1.0, +1, 2), (1.0, -1, 2)],
+                [(1.0, +1, 2), (2.0, -1, 1)],
+                [(1.0, -1, 2), (2.0, +1, 1)])
+        got = tube_interaction(bundle, fld, phase, amp, sets, lam, sigmas)
+        assert got.shape == (len(sigmas), len(sets))
+        for i, sigma in enumerate(sigmas):
+            rho = complex(lam, sigma)
+            refs = interaction_with_x0_axis(
+                bundle, fld, phase, amp,
+                [[(c * rho, sign, p) for c, sign, p in fs] for fs in sets],
+                lam)
+            for j, ref in enumerate(refs):
+                assert abs(got[i, j] - ref) <= 1e-12 * abs(ref)
 
     def test_subprincipal_amplitude_rejected(self, v3_setup):
         # the (x0, axis) grids of an n_amp = 1 amplitude depend on x0, which
         # the transform of the field alone would drop
         task, bundle = v3_setup
         _, phase, amp = bundle.beam(0.2, task.N, task.delta, n_amp=1)
-        rho = complex(320.0, -0.2)
         with pytest.raises(ModeMismatch, match="subprincipal"):
             tube_interaction(bundle, task.V.coeff(3), phase, amp,
-                             [(rho, +1, 2), (rho, -1, 2)], 320.0)
+                             [[(1.0, +1, 2), (1.0, -1, 2)]], 320.0, -0.2)
 
 
 class TestBeamMemo:
@@ -207,6 +214,29 @@ class TestRecoverVm:
         small = ReconTask(**{**task.__dict__, "n_xi": 9,
                              "eps_grid": (0.2, 0.1, 0.05, 0.025, 0.012)})
         rec = recover_vm(small)
+        assert rec.rel_error() <= 0.10
+
+    @pytest.mark.parametrize("n_xi", [3, 9])
+    def test_one_tube_pass_per_rung(self, v3_setup, monkeypatch, n_xi):
+        # every (eps, lambda) tube serves the whole xi grid
+        task, _ = v3_setup
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return tube_interaction(*args, **kwargs)
+
+        monkeypatch.setattr(recon, "tube_interaction", counted)
+        small = ReconTask(**{**task.__dict__, "n_xi": n_xi,
+                             "eps_grid": (0.2, 0.1, 0.05)})
+        recover_vm(small)
+        assert len(calls) == len(small.eps_grid) * len(small.lams)
+
+    def test_m3_conformal_disk(self, v3_setup):
+        # criterion 10's cubic configuration and bound on a curved chart
+        task, _ = v3_setup
+        ch = make_chart("conformal_disk", n=3, params={"tube_radius": 0.7})
+        rec = recover_vm(ReconTask(**{**task.__dict__, "chart": ch}))
         assert rec.rel_error() <= 0.10
 
     def test_m4_zero_noise_floor(self):
