@@ -22,7 +22,7 @@ from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 from .cylinder import apply_conjugated, conjugated_solve
 from .errors import UnsupportedOrder
-from .geometry import rk4_sweep
+from .geometry import linear_sweep, stage_times
 
 __all__ = [
     "PhaseJet", "AmplitudeJet", "CgoSolution",
@@ -312,23 +312,17 @@ def _coupling_matrix(H, monos_k):
 def _transport_sweep(y1, B, S, i0):
     """RK4 for v' = -B v + S with zero data at node i0.
 
-    ``B`` and ``S`` are sampled at the nodes of the uniform grid ``y1``; their
-    cubic splines are evaluated once at the nodes and half-nodes, the only
-    times RK4 visits.
+    ``B`` and ``S`` are sampled at the nodes of the grid ``y1``; their cubic
+    splines are evaluated once at the nodes and half-nodes, the only times
+    RK4 visits.  The affine system runs as the linear one on ``[v; 1]``
+    through ``linear_sweep``, which composes the RK4 step maps.
     """
-    tt = np.empty(2 * len(y1) - 1)
-    tt[::2] = y1
-    tt[1::2] = 0.5 * (y1[:-1] + y1[1:])
-    Bt = CubicSpline(y1, B, axis=0)(tt)
-    St = CubicSpline(y1, S, axis=0)(tt)
-    half = 0.5 * (y1[1] - y1[0])
-
-    def f(t, y):
-        i = int(round((t - y1[0]) / half))
-        return (-Bt[i] @ y[0] + St[i],)
-
-    v0 = np.zeros(S.shape[1], dtype=complex)
-    return rk4_sweep(f, y1, (v0,), i0)[0]
+    tt = stage_times(y1)
+    nk = S.shape[1]
+    A = np.zeros((len(tt), nk + 1, nk + 1), dtype=complex)
+    A[:, :nk, :nk] = -CubicSpline(y1, B, axis=0)(tt)
+    A[:, :nk, nk] = CubicSpline(y1, S, axis=0)(tt)
+    return linear_sweep(y1, A, np.eye(nk + 1)[nk], i0)[:, :nk]
 
 
 def build_phase(path, Y, N=2, ny1=321):

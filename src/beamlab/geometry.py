@@ -23,7 +23,8 @@ from .errors import (ConfigInvalid, DegenerateBasis, NonUnitSpeed,
 __all__ = [
     "ConformalMetric", "CtaChart", "GeodesicPath", "FermiChart",
     "make_chart", "chart_from_config", "trace_geodesic", "parallel_frame",
-    "conformal_reduce", "product_laplacian", "rk4_step", "rk4_sweep",
+    "conformal_reduce", "product_laplacian", "rk4_step", "stage_times",
+    "linear_sweep",
 ]
 
 
@@ -236,40 +237,56 @@ def rk4_step(f, t, y, h):
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
 
 
-def rk4_sweep(f, t, y0, i0, t0=None):
-    """RK4 over the nodes ``t``, node to node outward from node ``i0``.
+def stage_times(t):
+    """The nodes ``t`` and their midpoints interleaved, the times at which
+    RK4 from node to node samples the right-hand side."""
+    tt = np.empty(2 * len(t) - 1)
+    tt[::2] = t
+    tt[1::2] = 0.5 * (t[:-1] + t[1:])
+    return tt
 
-    ``y0`` is the state tuple at ``t0`` (default ``t[i0]``); when ``t0`` is
-    not that node, a partial step carries it there first.  Returns one array
-    per state component with the node axis first.
+
+def linear_sweep(t, A, y0, i0):
+    """RK4 for the linear system ``y' = A(t) y`` over the nodes ``t``, node
+    to node outward from node ``i0``, where ``y = y0``.
+
+    ``A`` holds the system matrix at ``stage_times(t)``, shape (2N-1, n, n),
+    and ``y0`` has shape (n,) or (n, k).  RK4 on a linear system is a linear
+    map ``y -> P y`` per step; the stage formula applied to the identity
+    gives every step's ``P`` in one batched evaluation (stepping away from
+    ``i0`` on each side), and the maps are then composed node to node.  An
+    affine system ``y' = A y + s`` runs as the linear one on ``[y; 1]``.
+    Returns the states with the node axis first.
     """
-    y = tuple(np.asarray(a) for a in y0)
-    if t0 is not None and t0 != t[i0]:
-        y = rk4_step(f, t0, y, t[i0] - t0)
-    out = tuple(np.empty((len(t),) + a.shape, dtype=a.dtype) for a in y)
-    for o, a in zip(out, y):
-        o[i0] = a
-    for step in (1, -1):
-        yy = y
-        for i in range(i0 + step, len(t) if step > 0 else -1, step):
-            yy = rk4_step(f, t[i - step], yy, t[i] - t[i - step])
-            for o, a in zip(out, yy):
-                o[i] = a
+    An, Am = A[::2], A[1::2]
+    fwd = (np.arange(len(t) - 1) >= i0)[:, None, None]
+    A0 = np.where(fwd, An[:-1], An[1:])
+    A1 = np.where(fwd, An[1:], An[:-1])
+    h = np.where(fwd, 1.0, -1.0) * np.diff(t)[:, None, None]
+    eye = np.eye(A.shape[-1])
+    k2 = Am @ (eye + h / 2 * A0)
+    k3 = Am @ (eye + h / 2 * k2)
+    k4 = A1 @ (eye + h * k3)
+    P = eye + h / 6 * (A0 + 2 * k2 + 2 * k3 + k4)
+    out = np.empty((len(t),) + np.shape(y0), dtype=np.result_type(P, y0))
+    out[i0] = y0
+    for i in range(i0 + 1, len(t)):
+        out[i] = P[i - 1] @ out[i - 1]
+    for i in range(i0 - 1, -1, -1):
+        out[i] = P[i] @ out[i + 1]
     return out
 
 
 def _geodesic_rhs(metric):
-    """Right-hand side of the geodesic equation for the state ``(x, v)`` or,
-    with a third component ``e`` of shape (..., d, k), of the geodesic
-    together with the parallel transport of the columns of ``e``."""
+    """Right-hand side of the geodesic equation, with the parallel
+    transport of a frame, for the one-array state ``(y,)`` packed as
+    ``[x | v | e]`` of shape (..., d, 2 + k); ``k = 0`` carries the bare
+    geodesic ``[x | v]``."""
     def f(_, y):
-        x, v = y[0], y[1]
-        vc = v[..., None]
-        cols = vc if len(y) == 2 else np.concatenate([vc, y[2]], axis=-1)
-        rate = -_conn(metric.grad_phi(x)[..., None], vc, cols)
-        if len(y) == 2:
-            return v, rate[..., 0]
-        return v, rate[..., 0], rate[..., 1:]
+        y, = y
+        v = y[..., 1:2]
+        rate = -_conn(metric.grad_phi(y[..., 0])[..., None], v, y[..., 1:])
+        return (np.concatenate([v, rate], axis=-1),)
     return f
 
 
@@ -344,41 +361,55 @@ MAX_LENGTH = 50.0
 
 
 def _walk(chart, y0, h, margin):
-    """Frame-carrying RK4 from the anchor state ``y0`` over the nodes
-    ``t = k h`` (``h < 0`` walks backward) to the first node at least
-    ``margin`` past the exit, found by bisecting the step that leaves the
-    chart on partial ``(x, v)`` steps.  Returns the exit time and the states.
+    """Frame-carrying RK4 from a batch of anchor states ``y0`` of shape
+    (B, d, 2 + k) over the nodes ``t = k h``, ``h > 0``.  Each state walks to
+    the first node at least ``margin`` past its exit, found by bisecting the
+    step that leaves the chart on partial ``[x | v]`` steps, and then leaves
+    the batch.  Returns the exit times and, per state, its node states.
     """
     f = _geodesic_rhs(chart.metric)
-    ys, t, tau = [y0], 0.0, None
-    while tau is None or (len(ys) - 1) * abs(h) < abs(tau) + margin:
-        if tau is None and abs(t) >= MAX_LENGTH:
+    ys = [[y] for y in y0]
+    tau = [None] * len(y0)
+    live, y, t = list(range(len(y0))), y0, 0.0
+    while live:
+        if t >= MAX_LENGTH and any(tau[i] is None for i in live):
             raise TrappedGeodesic(
                 f"no boundary exit within arc length {MAX_LENGTH}")
-        ys.append(rk4_step(f, t, ys[-1], h))
-        if tau is None and chart.boundary_defect(ys[-1][0]) < 0.0:
-            xv = ys[-2][:2]
-            lo, hi = 0.0, h
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if chart.boundary_defect(rk4_step(f, 0.0, xv, mid)[0]) < 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-                if abs(hi - lo) < 1e-13:
-                    break
-            tau = t + 0.5 * (lo + hi)
+        prev, (y,) = y, rk4_step(f, t, (y,), h)
+        left = chart.boundary_defect(y[:, :, 0]) < 0.0
+        for j, i in enumerate(live):
+            ys[i].append(y[j])
+            if tau[i] is None and left[j]:
+                xv = prev[j, :, :2]
+                lo, hi = 0.0, h
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    x_mid = rk4_step(f, 0.0, (xv,), mid)[0][:, 0]
+                    if chart.boundary_defect(x_mid) < 0.0:
+                        hi = mid
+                    else:
+                        lo = mid
+                    if abs(hi - lo) < 1e-13:
+                        break
+                tau[i] = t + 0.5 * (lo + hi)
         t += h
+        keep = [j for j, i in enumerate(live)
+                if tau[i] is None or (len(ys[i]) - 1) * h < tau[i] + margin]
+        if len(keep) < len(live):
+            live, y = [live[j] for j in keep], y[keep]
     return tau, ys
 
 
 def trace_geodesic(chart, x, theta, h=1e-3, margin=None):
     """Trace the maximal unit-speed geodesic through ``x`` with direction ``theta``.
 
-    Each half is integrated once, with its parallel frame, on the nodes
-    ``t = k h`` and stops at the first node at least the chart margin past
-    its exit time.  Returns a :class:`GeodesicPath`.  Raises
-    ``NonUnitSpeed`` / ``TrappedGeodesic``.
+    Both halves are integrated once, with the parallel frame, as one batch
+    of two on the nodes ``t = k h``: the backward half is the forward walk
+    from ``(x, -theta)``, which is bit for bit the walk with step ``-h``
+    with its velocity negated (the connection is bilinear, and rounding is
+    symmetric under negation).  Each half stops at the first node at least
+    the chart margin past its exit time.  Returns a :class:`GeodesicPath`.
+    Raises ``NonUnitSpeed`` / ``TrappedGeodesic``.
     """
     metric = chart.metric
     x = np.asarray(x, dtype=float)
@@ -389,16 +420,19 @@ def trace_geodesic(chart, x, theta, h=1e-3, margin=None):
         raise NonUnitSpeed(f"|theta|_g = {metric.norm(x, theta)!r}")
     margin = chart.extension_margin if margin is None else float(margin)
 
-    y0 = (x, theta, _orthonormal_complement(metric, x, theta))
-    tau_plus, fwd = _walk(chart, y0, h, margin)
-    tau_minus, bwd = _walk(chart, y0, -h, margin)
-    xs, vs, es = (np.stack(c) for c in zip(*(bwd[:0:-1] + fwd)))
+    e = _orthonormal_complement(metric, x, theta)
+    y0 = np.stack([np.column_stack([x, s * theta, e]) for s in (1.0, -1.0)])
+    (tau_plus, tau_back), (fwd, bwd) = _walk(chart, y0, h, margin)
+    ys = np.stack(bwd[:0:-1] + fwd)
+    ys[:len(bwd) - 1, :, 1] *= -1.0         # the backward half carries -v
+    xs, vs, es = (np.ascontiguousarray(a)
+                  for a in (ys[..., 0], ys[..., 1], ys[..., 2:]))
     t = h * np.arange(1 - len(bwd), len(fwd))
 
     speeds = metric.norm(xs, vs)
     defect = float(np.max(np.abs(speeds - 1.0)))
     return GeodesicPath(chart=chart, t=t, x=xs, v=vs, frame=es,
-                        tau_minus=tau_minus, tau_plus=tau_plus,
+                        tau_minus=-tau_back, tau_plus=tau_plus,
                         unit_speed_defect=defect)
 
 

@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 
 from .errors import (BranchAmbiguity, ConjugatePointHit, InvalidArgument,
                      SingularAnchor)
-from .geometry import _conn, rk4_sweep
+from .geometry import _conn, linear_sweep, rk4_step, stage_times
 
 __all__ = [
     "CurvaturePath", "ComplexJacobiField", "RiccatiPath",
@@ -134,10 +134,24 @@ class ComplexJacobiField:
 
 def _sweep(K, tau0, Y0, Y1):
     """RK4 for ``(Y, Y')`` over K's grid from (m, k) anchor data at ``tau0``,
-    starting at the node nearest tau0."""
+    outward from the node nearest tau0.
+
+    The state ``[Y; Y']`` solves the linear system with matrix
+    ``[[0, I], [-K, 0]]``, sampled once at the nodes and half-nodes, and
+    ``linear_sweep`` composes its RK4 step maps; an anchor off the node
+    first takes one partial step there with K's spline at every stage.
+    """
+    m = K.m
     i0 = int(np.argmin(np.abs(K.t - tau0)))
-    return rk4_sweep(lambda t, y: (y[1], -K.at(t) @ y[0]), K.t, (Y0, Y1), i0,
-                     t0=tau0)
+    if tau0 != K.t[i0]:
+        Y0, Y1 = rk4_step(lambda t, y: (y[1], -K.at(t) @ y[0]), tau0,
+                          (Y0, Y1), K.t[i0] - tau0)
+    Kt = K.at(stage_times(K.t))
+    A = np.zeros((len(Kt), 2 * m, 2 * m))
+    A[:, :m, m:] = np.eye(m)
+    A[:, m:, :m] = -Kt
+    out = linear_sweep(K.t, A, np.concatenate([Y0, Y1]), i0)
+    return out[:, :m], out[:, m:]
 
 
 def solve_jacobi(K, tau0, Y0, Y1, require_admissible=False):

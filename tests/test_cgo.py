@@ -10,7 +10,7 @@ from beamlab.cgo import (_transport_sweep, assemble_cgo, build_amplitude,
                          quasimode_lp_norm, smooth_cutoff)
 from beamlab.cylinder import make_cylinder_grid
 from beamlab.errors import UnsupportedOrder
-from beamlab.geometry import FermiChart, make_chart, rk4_sweep, trace_geodesic
+from beamlab.geometry import FermiChart, make_chart, rk4_step, trace_geodesic
 from beamlab.jacobi import curvature_along, riccati_path, solve_jacobi
 from beamlab.potentials import make_field
 
@@ -125,8 +125,12 @@ class TestAmplitude:
         B = np.array([[1.0, 0.5j], [0.5j, 2.0]]) * (1.0 + c) + 1j * c
         S = np.stack([np.exp(-y1 ** 2), np.sin(3.0 * y1) + 1j], axis=1)
         Bs, Ss = CubicSpline(y1, B, axis=0), CubicSpline(y1, S, axis=0)
-        ref = rk4_sweep(lambda t, y: (-Bs(t) @ y[0] + Ss(t),), y1,
-                        (np.zeros(2, dtype=complex),), 40)[0]
+        f = lambda t, y: (-Bs(t) @ y[0] + Ss(t),)
+        ref = np.zeros((len(y1), 2), dtype=complex)
+        for i in range(41, len(y1)):
+            ref[i], = rk4_step(f, y1[i - 1], (ref[i - 1],), y1[i] - y1[i - 1])
+        for i in range(39, -1, -1):
+            ref[i], = rk4_step(f, y1[i + 1], (ref[i + 1],), y1[i] - y1[i + 1])
         got = _transport_sweep(y1, B, S, 40)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from beamlab import geometry
-from beamlab.errors import NonUnitSpeed, OutsideTube
+from beamlab.errors import NonUnitSpeed, OutsideTube, TrappedGeodesic
 from beamlab.geometry import (FermiChart, _conn, conformal_reduce, make_chart,
                               parallel_frame, trace_geodesic)
 from beamlab.potentials import PotentialSeries, make_field
@@ -135,8 +135,8 @@ class TestTraceGeodesic:
     @pytest.mark.parametrize("kind,params", [
         ("flat_disk", {}), ("sphere_cap", {"cap_radius": 1.25})])
     def test_integrates_once(self, kind, params, monkeypatch):
-        # one RK4 step per sample interval, plus at most 60 bisection steps
-        # for each of the two exits
+        # both halves walk as one batch: one RK4 step per sample interval of
+        # the longer half, plus at most 60 bisection steps for each exit
         calls = []
         step = geometry.rk4_step
 
@@ -149,11 +149,27 @@ class TestTraceGeodesic:
         x = np.array([0.2, 0.1])
         th = np.array([1.0, 0.4])
         p = trace_geodesic(ch, x, th / ch.metric.norm(x, th))
-        assert len(calls) <= len(p.t) - 1 + 120
+        assert len(calls) <= max(np.sum(p.t > 0), np.sum(p.t < 0)) + 120
         # the samples reach at least the margin past each exit
         margin = ch.extension_margin
         assert p.t[0] <= p.tau_minus - margin < p.t[1]
         assert p.t[-2] < p.tau_plus + margin <= p.t[-1]
+
+    @pytest.mark.parametrize("kind,params", [
+        ("flat_disk", {}), ("sphere_cap", {"cap_radius": 1.25})])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_trapped_half_raises(self, kind, params, sign, monkeypatch):
+        # an arc-length cap between the two exit lengths traps the longer
+        # half only: the backward one for sign +1, the forward one for -1
+        ch = make_chart(kind, n=3, params=params)
+        x = np.array([0.4, 0.0])
+        th = sign * np.array([1.0, 0.0]) / ch.metric.norm(x, [1.0, 0.0])
+        p = trace_geodesic(ch, x, th)
+        assert (-p.tau_minus > p.tau_plus) == (sign > 0)
+        monkeypatch.setattr(geometry, "MAX_LENGTH",
+                            0.5 * (p.tau_plus - p.tau_minus))
+        with pytest.raises(TrappedGeodesic):
+            trace_geodesic(ch, x, th)
 
     def test_n4_ball(self):
         ch = make_chart("flat_disk", n=4)

@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 
 from beamlab import jacobi
 from beamlab.errors import ConjugatePointHit, SingularAnchor
-from beamlab.geometry import make_chart, trace_geodesic
+from beamlab.geometry import make_chart, rk4_step, trace_geodesic
 from beamlab.jacobi import (ComplexJacobiField, CurvaturePath, conjugate_scan,
                             curvature_along, det_root_branch, epsilon_family,
                             real_pair, riccati_path, solve_jacobi, wronskian)
@@ -115,6 +115,37 @@ class TestSolveJacobi:
         order = np.log2(errs[0] / errs[1])
         assert order == pytest.approx(4.0, abs=1.2)
 
+    @pytest.mark.parametrize("kind,params,n", [
+        ("sphere_cap", {"cap_radius": 1.25}, 3), ("conformal_disk", {}, 4)])
+    @pytest.mark.parametrize("at_entry", [False, True])
+    def test_linear_sweep_matches_stagewise_splines(self, kind, params, n,
+                                                    at_entry):
+        # reference: plain RK4 steps with K's spline evaluated at every stage
+        ch = make_chart(kind, n=n, params=params)
+        x = np.array([0.1, -0.05, 0.05][:n - 1])
+        th = np.array([0.6, 0.8, 0.3][:n - 1])
+        path = trace_geodesic(ch, x, th / ch.metric.norm(x, th))
+        K = curvature_along(path)
+        # the anchor 0 is a node, tau_minus is not
+        tau0 = path.tau_minus if at_entry else 0.0
+        m = n - 2
+        Y0, Y1 = np.eye(m) + 0.2, 1j * np.eye(m)
+        got = solve_jacobi(K, tau0, Y0, Y1)
+
+        def f(t, y):
+            return y[1], -K.at(t) @ y[0]
+
+        t = K.t
+        i0 = int(np.argmin(np.abs(t - tau0)))
+        ref = [None] * len(t)
+        ref[i0] = rk4_step(f, tau0, (Y0 + 0j, Y1), t[i0] - tau0)
+        for i in range(i0 + 1, len(t)):
+            ref[i] = rk4_step(f, t[i - 1], ref[i - 1], t[i] - t[i - 1])
+        for i in range(i0 - 1, -1, -1):
+            ref[i] = rk4_step(f, t[i + 1], ref[i + 1], t[i] - t[i + 1])
+        for a, b in zip((got.Y, got.Yd), (np.stack(c) for c in zip(*ref))):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
     def test_singular_anchor(self):
         K = curvature_along(flat_path())
         with pytest.raises(SingularAnchor):
@@ -135,13 +166,13 @@ class TestRealPair:
         # the anchor 0 is a node, tau_minus is not
         tau0 = path.tau_minus if at_entry else 0.0
         calls = []
-        sweep = jacobi.rk4_sweep
+        sweep = jacobi.linear_sweep
 
         def counted(*args, **kwargs):
             calls.append(1)
             return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(jacobi, "rk4_sweep", counted)
+        monkeypatch.setattr(jacobi, "linear_sweep", counted)
         X, Z = real_pair(K, tau0=tau0)
         assert len(calls) == 1
         monkeypatch.undo()
