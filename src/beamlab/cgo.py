@@ -609,7 +609,9 @@ class TubeDefect:
     """Conjugated-operator defect of a truncated beam on a flat chart.
 
     Precomputes every axis/offset-dependent field once for a fixed set of
-    tube points; evaluation per x0 slice only touches the (x0, axis) grids.
+    tube points; evaluation only touches the (x0, axis) grids, at x0 of any
+    shape that broadcasts against the points (a column of x0 nodes gives
+    every slice at once).
     """
 
     def __init__(self, phase, amp, sign, t, ypp):
@@ -853,12 +855,12 @@ def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1):
     idx = np.where(tube & (collar > 0))
     tv, pv, cv = t[idx], ypp[idx], collar[idx]
     defect = TubeDefect(phase, amp, sign, tv, pv)
+    x0 = grid.x0[:, None]
+    all_x0 = (slice(None),)
     Q = np.zeros(grid.shape, dtype=complex)
     source = np.zeros(grid.shape, dtype=complex)
-    for i, x0v in enumerate(grid.x0):
-        Q[i][iq] = quasimode_eval(phase, amp, rho, sign,
-                                  np.full(tq.shape, x0v), tq, pq) * taper
-        source[i][idx] = -defect.eval(np.full(tv.shape, x0v), rho) * cv
+    Q[all_x0 + iq] = quasimode_eval(phase, amp, rho, sign, x0, tq, pq) * taper
+    source[all_x0 + idx] = -defect.eval(x0, rho) * cv
     lam_signed = lam if sign > 0 else -lam
     R, report = conjugated_solve(source, grid, lam_signed)
     U = Q + R

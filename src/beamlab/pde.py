@@ -12,6 +12,7 @@ frequency, so both ways of factoring solve one discretization.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -214,6 +215,15 @@ class SchrodingerSolver:
     then run per frequency between FFTs over the angle, and frequencies
     ``k`` and ``nphi - k`` share one factorization.  Every other domain
     factors the whole interior matrix.
+
+    With ``W = sqrt(det g)`` on the diagonal, ``S(lam) = W A(lam)`` satisfies
+    ``S(lam)^T = S(-lam)``: each x0 face couples ``i -> i+1`` by
+    ``-a e^{lam h}`` and ``i+1 -> i`` by ``-a e^{-lam h}`` with one face
+    coefficient ``a``, every other coupling is symmetric, and the diagonal
+    (complex ``V1`` included) does not depend on ``lam``.  So the interior
+    block obeys ``A(-lam) = W^-1 A(lam)^T W``, blockwise too on the fast path
+    (``W`` is angle-free and ``C1`` diagonal), and ``mirror`` solves at
+    ``-lam`` through the transposed factors of ``lam``.
     """
 
     def __init__(self, domain, V1_field=None, lam=0.0):
@@ -221,6 +231,7 @@ class SchrodingerSolver:
         self.V1 = (np.zeros(domain.shape) if V1_field is None
                    else np.asarray(V1_field))
         self.lam = float(lam)
+        self._trans = "N"           # "T" on factors of -lam (see mirror)
         self._assemble()
         self._nphi = domain.axes[-1].n if self._fast_angle_possible() else 0
         if self._nphi:
@@ -241,7 +252,24 @@ class SchrodingerSolver:
                 or dom.axes[-1].n < 3:
             return False
         fields = [dom.W] + dom.A + [np.asarray(self.V1)]
-        return all(np.allclose(f, f[..., :1], atol=1e-13) for f in fields)
+        # absolute test scaled to each field: a relative tolerance would
+        # pass a small angular part of a large field as angle-free
+        return all(np.allclose(f, f[..., :1], rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(f)))
+                   for f in fields)
+
+    def mirror(self):
+        """The solver at ``-lam`` on this solver's factors.
+
+        It assembles its own ``-lam`` couplings (``apply`` and the boundary
+        terms read them) but factors nothing: a solve returns
+        ``W^-1 A(lam)^-T (W b)`` through the transposed factors.
+        """
+        twin = copy.copy(self)
+        twin.lam = -self.lam
+        twin._trans = "T" if self._trans == "N" else "N"
+        twin._assemble()
+        return twin
 
     def _assemble(self):
         dom = self.domain
@@ -320,14 +348,20 @@ class SchrodingerSolver:
 
     def _lu_solve(self, rhs):
         """Interior unknowns for the interior right-hand side ``rhs``."""
+        trans = self._trans
+        if trans == "T":
+            w = self.domain.W[self.domain.interior]
+            rhs = w * rhs
         if not self._nphi:
-            return self._lus[0].solve(rhs)
-        nphi = self._nphi
-        rk = np.fft.fft(rhs.reshape(-1, nphi), axis=-1)
-        for b, lu in enumerate(self._lus):
-            ks = [b] if b in (0, nphi - b) else [b, nphi - b]
-            rk[:, ks] = lu.solve(rk[:, ks])
-        return np.fft.ifft(rk, axis=-1).ravel()
+            u = self._lus[0].solve(rhs, trans=trans)
+        else:
+            nphi = self._nphi
+            rk = np.fft.fft(rhs.reshape(-1, nphi), axis=-1)
+            for b, lu in enumerate(self._lus):
+                ks = [b] if b in (0, nphi - b) else [b, nphi - b]
+                rk[:, ks] = lu.solve(rk[:, ks], trans=trans)
+            u = np.fft.ifft(rk, axis=-1).ravel()
+        return u / w if trans == "T" else u
 
     # -- solving ------------------------------------------------------------
 

@@ -521,7 +521,7 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, grid, nx0=96, nr=32,
 
     V1f = task.V.eval_k(1, x0g, xpg) if 1 in task.V.coeffs else None
     sol_plus = SchrodingerSolver(dom, V1_field=V1f, lam=+lam)
-    sol_minus = SchrodingerSolver(dom, V1_field=V1f, lam=-lam)
+    sol_minus = sol_plus.mirror()
 
     w1 = sol_plus.solve(bdata=gp)            # conjugated first-order solves
     w3 = sol_minus.solve(bdata=gm)

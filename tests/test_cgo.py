@@ -327,6 +327,42 @@ class TestAssembly:
         x0_off = np.array([0.5, 0.5, grid.x0[-1] + 0.5 * grid.dx0])
         np.testing.assert_array_equal(sol(x0_off, off), 0.0)
 
+    def test_batched_nodes_match_per_node_loop(self, monkeypatch):
+        # reference: the beam and its defect evaluated at one x0 node at a
+        # time on the tube points, walking the grid's nodes itself
+        import beamlab.cgo as cgo
+
+        ch = make_chart("flat_disk", n=3, params={"tube_radius": 1.0,
+                                                  "margin": 0.3})
+        p = trace_geodesic(ch, [0.0, 0.0], [1.0, 0.0])
+        K = curvature_along(p)
+        Y = solve_jacobi(K, 0.0, [[1.0]], [[1j]], require_admissible=True)
+        ph = build_phase(p, Y, N=2, ny1=201)
+        amp = build_amplitude(p, ph, Y, N_amp=1)
+        grid = make_cylinder_grid(ch, nx0=24, ntrans=48)
+        batched = [assemble_cgo(p, ph, amp, 20.0, 1.0, grid, sign=s)
+                   for s in (+1, -1)]
+
+        q_eval, d_eval = cgo.quasimode_eval, cgo.TubeDefect.eval
+
+        def q_loop(phase, amp, rho, sign, x0, t, ypp):
+            return np.stack([q_eval(phase, amp, rho, sign,
+                                    np.full(t.shape, x), t, ypp)
+                             for x in grid.x0])
+
+        def d_loop(defect, x0, rho):
+            return np.stack([d_eval(defect, np.full(defect.t.shape, x), rho)
+                             for x in grid.x0])
+
+        monkeypatch.setattr(cgo, "quasimode_eval", q_loop)
+        monkeypatch.setattr(cgo.TubeDefect, "eval", d_loop)
+        for s, new in zip((+1, -1), batched):
+            ref = assemble_cgo(p, ph, amp, 20.0, 1.0, grid, sign=s)
+            for a, b in ((new.field, ref.field),
+                         (new.remainder, ref.remainder)):
+                assert np.max(np.abs(b)) > 0
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
     def test_curved_assembly_rejected(self):
         ch = make_chart("sphere_cap", n=3, params={"cap_radius": 1.1})
         p = trace_geodesic(ch, [0.0, 0.0], [0.5, 0.0])

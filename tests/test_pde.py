@@ -22,6 +22,22 @@ def edge_datum(x0, xp):
 V_NONE = PotentialSeries({})
 
 
+class FullFactorization(SchrodingerSolver):
+    """The solver with its per-frequency blocks switched off."""
+
+    def _fast_angle_possible(self):
+        return False
+
+
+def disk_datum(x0, xp):
+    xp = np.asarray(xp)
+    return np.cos(2 * np.asarray(x0)) + xp[..., 0] + 0.5 * xp[..., 1] ** 2
+
+
+def rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
 class TestGreenOperators:
     def test_separable_dirichlet(self):
         dom = box_domain((1.0, 1.0), (65, 65))
@@ -100,18 +116,6 @@ class TestGreenOperators:
             assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.2)
 
     def test_angular_blocks_match_full_factorization(self):
-        class FullFactorization(SchrodingerSolver):
-            def _fast_angle_possible(self):
-                return False
-
-        def g(x0, xp):
-            xp = np.asarray(xp)
-            return np.cos(2 * np.asarray(x0)) + xp[..., 0] \
-                + 0.5 * xp[..., 1] ** 2
-
-        def rel(a, b):
-            return np.max(np.abs(a - b)) / np.max(np.abs(b))
-
         for kind, params in (("sphere_cap", {"cap_radius": 1.25}),
                              ("flat_disk", {"radius": 0.5})):
             dom = disk_cylinder_domain(make_chart(kind, n=3, params=params),
@@ -123,12 +127,61 @@ class TestGreenOperators:
             for lam in (0.0, 3.0):
                 blk = SchrodingerSolver(dom, V1_field=V1, lam=lam)
                 ful = FullFactorization(dom, V1_field=V1, lam=lam)
-                assert rel(blk.solve(F=F), ful.solve(F=F)) <= 1e-12
-                assert rel(blk.solve(bdata=g), ful.solve(bdata=g)) <= 1e-12
-                u = ful.solve(F=F, bdata=g)
-                assert rel(blk.apply(u, bdata=g), ful.apply(u, bdata=g)) \
-                    <= 1e-12
+                assert rel_diff(blk.solve(F=F), ful.solve(F=F)) <= 1e-12
+                assert rel_diff(blk.solve(bdata=disk_datum),
+                                ful.solve(bdata=disk_datum)) <= 1e-12
+                u = ful.solve(F=F, bdata=disk_datum)
+                assert rel_diff(blk.apply(u, bdata=disk_datum),
+                                ful.apply(u, bdata=disk_datum)) <= 1e-12
                 assert blk._nphi == 16 and ful._nphi == 0
+
+    def test_small_angular_part_is_not_angle_free(self):
+        # a 1e-6 relative angular part of a large coefficient: the blocks
+        # would solve its angle-0 ray everywhere
+        dom = disk_cylinder_domain(make_chart("flat_disk", n=3,
+                                              params={"radius": 0.5}),
+                                   17, 12, 16)
+        X0, R, PHI = dom.mesh
+        V1 = 40.0 * (1.0 + 1e-6 * np.cos(PHI))
+        F = np.sin(np.pi * X0) * (1 + R * np.cos(PHI))
+        s = SchrodingerSolver(dom, V1_field=V1, lam=3.0)
+        ful = FullFactorization(dom, V1_field=V1, lam=3.0)
+        assert rel_diff(s.solve(F=F), ful.solve(F=F)) <= 1e-12
+
+    def test_mirror_matches_fresh_factorization(self):
+        # the -lam solve through the transposed +lam factors
+        def disk(kind, params):
+            return disk_cylinder_domain(make_chart(kind, n=3, params=params),
+                                        17, 12, 16)
+
+        flat = disk("flat_disk", {"radius": 0.5})
+        cases = [(flat, 0.4, 16),
+                 (disk("sphere_cap", {"cap_radius": 1.25}), 0.4, 16),
+                 (disk("conformal_disk", {"radius": 0.5}), 0.4, 0),
+                 (box_domain((1.0, 1.0, 1.0), (13, 11, 9)), 0.4, 0),
+                 (flat, 0.4 + 0.3j, 16)]
+        _, R, PHI = flat.mesh
+        cases.append((flat, (0.4 + 0.3j) * (1 + R * np.cos(PHI)), 0))
+        for dom, V1, nphi in cases:
+            X0, Y1, Y2 = dom.mesh
+            F = np.sin(np.pi * X0) * (1 + Y1 * np.cos(Y2))
+            V1 = V1 * np.ones(dom.shape)
+            for lam in (3.0, -2.0):
+                mir = SchrodingerSolver(dom, V1_field=V1, lam=lam).mirror()
+                ref = SchrodingerSolver(dom, V1_field=V1, lam=-lam)
+                assert mir.lam == ref.lam and mir._nphi == ref._nphi == nphi
+                assert rel_diff(mir.solve(F=F), ref.solve(F=F)) <= 1e-12
+                assert rel_diff(mir.solve(bdata=disk_datum),
+                                ref.solve(bdata=disk_datum)) <= 1e-12
+                u = ref.solve(F=F, bdata=disk_datum)
+                assert rel_diff(mir.apply(u, bdata=disk_datum),
+                                ref.apply(u, bdata=disk_datum)) <= 1e-12
+                # mirroring twice solves at lam again on the same factors
+                back = mir.mirror()
+                assert back.lam == lam and back._lus is mir._lus
+                assert rel_diff(back.solve(F=F),
+                                SchrodingerSolver(dom, V1_field=V1,
+                                                  lam=lam).solve(F=F)) <= 1e-12
 
     def test_dirichlet_eigenvalue_guard(self):
         from scipy.sparse.linalg import eigsh

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from beamlab import recon
 from beamlab.cgo import (assemble_cgo, build_amplitude, build_phase,
@@ -330,22 +331,33 @@ class TestBoundaryRoute:
         return ReconTask(chart=ch, V=V, m=3, delta=0.7)
 
     def test_dual_path_refinement(self, monkeypatch):
+        import beamlab.pde as pde
         import beamlab.recon as recon
 
         calls = []
+        factors = []
 
         def counted(*args, **kwargs):
             calls.append(kwargs.get("sign"))
             return assemble_cgo(*args, **kwargs)
 
+        def counted_splu(*args, **kwargs):
+            factors.append(None)
+            return splu(*args, **kwargs)
+
         monkeypatch.setattr(recon, "assemble_cgo", counted)
+        monkeypatch.setattr(pde, "splu", counted_splu)
         task = self.make_task()
         bundle = prepare_bundle(task, anchor="point")
         cyl = make_cylinder_grid(task.chart, nx0=96, ntrans=128)
         val_c, syn_c = full_dn_moment_v3(task, bundle, 0.2, 0.25, 20.0,
                                          grid=cyl, nx0=24, nr=16, nphi=16)
+        # the -lam disk solves share the +lam factors: one block per
+        # angular frequency pair, nphi // 2 + 1 per disk grid
+        assert len(factors) == 16 // 2 + 1
         val_f, syn_f = full_dn_moment_v3(task, bundle, 0.2, 0.25, 20.0,
                                          grid=cyl, nx0=48, nr=32, nphi=32)
+        assert len(factors) == 16 // 2 + 1 + 32 // 2 + 1
         tol = abs(val_f - val_c) / 3.0 * 1.6 + 0.02 * abs(syn_f)
         assert abs(val_f - syn_f) <= tol
         # both routes approach each other under refinement
