@@ -14,8 +14,8 @@ is the exponential solution on the cylinder.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
@@ -25,7 +25,7 @@ from .errors import UnsupportedOrder
 from .geometry import linear_sweep, stage_times
 
 __all__ = [
-    "PhaseJet", "AmplitudeJet", "CgoSolution",
+    "PhaseJet", "AmplitudeJet", "TubeBeam", "CgoSolution",
     "build_phase", "build_amplitude", "quasimode_eval", "assemble_cgo",
     "dbar_solve", "smooth_cutoff", "quasimode_lp_norm",
     "conjugated_defect_norm", "eikonal_defect_exact", "tube_grid",
@@ -253,20 +253,23 @@ class PhaseJet:
         return self.jet.eval_at(self.y1, t, ypp)
 
     def grad(self, t, ypp):
-        parts = [self.jet.dy1(self.y1).eval_at(self.y1, t, ypp)]
-        for j in range(self.m):
-            parts.append(self.jet.dy(j).eval_at(self.y1, t, ypp))
-        return np.stack(parts, axis=-1)
+        return np.stack([g.eval_at(self.y1, t, ypp)
+                         for g in _grads(self.jet, self.y1)], axis=-1)
 
     def im_quadratic_min(self):
         imH = (self.H - np.conj(np.swapaxes(self.H, 1, 2))) / 2j
         return float(np.min(np.linalg.eigvalsh(imH)))
 
 
+def _grads(u, y1):
+    """The tube-coordinate gradient of a jet: d/dy1, then each offset."""
+    return [u.dy1(y1)] + [u.dy(j) for j in range(u.m)]
+
+
 def _eikonal_defect_jet(theta_jet, ginv, y1, order):
     m = theta_jet.m
     n = len(y1)
-    grads = [theta_jet.dy1(y1)] + [theta_jet.dy(j) for j in range(m)]
+    grads = _grads(theta_jet, y1)
     acc = jet_const(m, order, n, 1.0)
     for a in range(m + 1):
         for b in range(m + 1):
@@ -277,7 +280,7 @@ def _eikonal_defect_jet(theta_jet, ginv, y1, order):
 
 def _laplace_beltrami_jet(u, ginv, gdet_sqrt, gdet_sqrt_inv, y1, order):
     m = u.m
-    grads = [u.dy1(y1)] + [u.dy(j) for j in range(m)]
+    grads = _grads(u, y1)
     acc = None
     for a in range(m + 1):
         flux = None
@@ -288,6 +291,18 @@ def _laplace_beltrami_jet(u, ginv, gdet_sqrt, gdet_sqrt_inv, y1, order):
         dflux = flux.dy1(y1) if a == 0 else flux.dy(a - 1)
         acc = dflux if acc is None else acc.add(dflux)
     return gdet_sqrt_inv.mul(acc, order)
+
+
+def _transport_jet(u, theta_grads, lap_theta, ginv, y1, order):
+    """2i <d theta, d u>_g + i (Delta_g theta) u: the transport operator of
+    the phase with gradient ``theta_grads`` and Laplacian ``lap_theta``."""
+    grads = _grads(u, y1)
+    acc = None
+    for a in range(u.m + 1):
+        for b in range(u.m + 1):
+            term = ginv[a][b].mul(theta_grads[a], order).mul(grads[b], order)
+            acc = term if acc is None else acc.add(term)
+    return acc.scale(2j).add(lap_theta.mul(u, order).scale(1j))
 
 
 def _coupling_matrix(H, monos_k):
@@ -489,19 +504,9 @@ class AmplitudeJet:
     v1_plus: np.ndarray | None = None     # (nx0, ny1)
     v1_minus: np.ndarray | None = None
     pv0_axis: np.ndarray | None = None    # P v0 on the axis, (nx0, ny1)
-    pv0_axis_bar: np.ndarray | None = None
 
     def v0_eval(self, t, ypp):
         return self.v0.eval_at(self.y1, t, ypp)
-
-    def interp(self, data, x0, t):
-        if data is None:
-            return 0.0
-        itp = RegularGridInterpolator((self.x0, self.y1), data,
-                                      bounds_error=False, fill_value=0.0)
-        pts = np.stack(np.broadcast_arrays(np.asarray(x0), np.asarray(t)),
-                       axis=-1)
-        return itp(pts)
 
 
 def build_amplitude(path, phase, Y, V1=None, N_amp=1, delta=None):
@@ -527,20 +532,12 @@ def build_amplitude(path, phase, Y, V1=None, N_amp=1, delta=None):
     gdet = phase.gdet_sqrt
     gdet_inv = _normalized_series(gdet, order, n, -1.0)
     lap_theta = _laplace_beltrami_jet(phase.jet, ginv, gdet, gdet_inv, y1, order)
-
-    def transport_jet(u):
-        grads = [u.dy1(y1)] + [u.dy(j) for j in range(m)]
-        tgrads = [phase.jet.dy1(y1)] + [phase.jet.dy(j) for j in range(m)]
-        acc = None
-        for a in range(m + 1):
-            for b in range(m + 1):
-                term = ginv[a][b].mul(tgrads[a], order).mul(grads[b], order)
-                acc = term if acc is None else acc.add(term)
-        return acc.scale(2j).add(lap_theta.mul(u, order).scale(1j))
+    tgrads = _grads(phase.jet, y1)
 
     for j in range(1, order + 1):
         monos_j = [a for a in monomials(m, order) if sum(a) == j]
-        defect = transport_jet(v0).order_part(j)
+        defect = _transport_jet(v0, tgrads, lap_theta, ginv, y1,
+                                order).order_part(j)
         S = np.stack([defect.get(a, n) for a in monos_j], axis=1)
         B = _coupling_matrix(phase.H, monos_j) \
             + 0.5 * trH[:, None, None] * np.eye(len(monos_j))[None]
@@ -548,7 +545,7 @@ def build_amplitude(path, phase, Y, V1=None, N_amp=1, delta=None):
         for ia, a in enumerate(monos_j):
             v0.coeffs[a] = vj[:, ia]
 
-    tdef = transport_jet(v0)
+    tdef = _transport_jet(v0, tgrads, lap_theta, ginv, y1, order)
     transport_defect = max((np.max(np.abs(c)) for c in tdef.coeffs.values()),
                            default=0.0)
 
@@ -564,8 +561,8 @@ def build_amplitude(path, phase, Y, V1=None, N_amp=1, delta=None):
                                             y1, order).get((0,) * m, n)
         axis_pts = path.point(y1)
         if V1 is not None:
-            V1_axis = np.stack([np.atleast_1d(V1(x, axis_pts)) for x in x0],
-                               axis=0)
+            V1_axis = np.broadcast_to(V1(x0[:, None], axis_pts[None]),
+                                      (len(x0), n))
         else:
             V1_axis = np.zeros((len(x0), n))
         Pv0 = -lap_v0_axis[None, :] + V1_axis * v00[None, :]
@@ -577,7 +574,6 @@ def build_amplitude(path, phase, Y, V1=None, N_amp=1, delta=None):
         amp.v1_plus = up * v00[None, :]
         amp.v1_minus = um * np.conj(v00)[None, :]
         amp.pv0_axis = Pv0
-        amp.pv0_axis_bar = Pv0b
     return amp
 
 
@@ -585,142 +581,138 @@ def build_amplitude(path, phase, Y, V1=None, N_amp=1, delta=None):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def quasimode_eval(phase, amp, rho, sign, x0, t, ypp):
-    """e^{i sigma x0} V^{+/-} at tube points, sigma = Im rho (the growth
-    factor is excluded)."""
-    rho = complex(rho)
-    x0 = np.asarray(x0)
-    t = np.asarray(t)
-    ypp = np.asarray(ypp)
-    theta = phase.theta(t, ypp)
-    v0 = amp.v0_eval(t, ypp)
-    chi = smooth_cutoff(np.sqrt(np.sum(ypp ** 2, axis=-1)) / amp.delta)
-    if sign > 0:
-        ph = np.exp(1j * rho * theta)
-        a = v0 + amp.interp(amp.v1_plus, x0, t) / rho
-    else:
-        rb = np.conj(rho)
-        ph = np.exp(-1j * rb * np.conj(theta))
-        a = np.conj(v0) + amp.interp(amp.v1_minus, x0, t) / rb
-    return np.exp(1j * rho.imag * x0) * ph * a * chi
+def _linear_weights(grid, s):
+    """Left node of the cell of ``s`` on an increasing grid, and the linear
+    weights of that node and the next; 0 off the grid."""
+    i = np.clip(np.searchsorted(grid, s) - 1, 0, len(grid) - 2)
+    f = (s - grid[i]) / (grid[i + 1] - grid[i])
+    inside = (s >= grid[0]) & (s <= grid[-1])
+    return i, ((1.0 - f) * inside, f * inside)
 
 
-class TubeDefect:
-    """Conjugated-operator defect of a truncated beam on a flat chart.
+class TubeBeam:
+    """One beam sampled at a fixed set of tube points ``(t, ypp)``.
 
-    Precomputes every axis/offset-dependent field once for a fixed set of
-    tube points; evaluation only touches the (x0, axis) grids, at x0 of any
+    The phase theta, the principal amplitude v0 and the cutoff chi are
+    evaluated once, here; ``value`` and ``defect`` add only the x0 factor
+    and the (x0, axis) subprincipal grids, for either sign and at x0 of any
     shape that broadcasts against the points (a column of x0 nodes gives
-    every slice at once).
+    every slice at once).  The defect's jets are built and sampled on the
+    first ``defect`` call.
     """
 
-    def __init__(self, phase, amp, sign, t, ypp):
+    def __init__(self, phase, amp, t, ypp):
         self.phase = phase
         self.amp = amp
-        self.sign = sign
         self.t = np.asarray(t)
         self.ypp = np.asarray(ypp)
-        m = phase.m
-        y1 = phase.y1
+        self.theta = phase.theta(self.t, self.ypp)
+        self.v0 = amp.v0_eval(self.t, self.ypp)
+        self.r = np.sqrt(np.sum(self.ypp ** 2, axis=-1))
+        self.chi = smooth_cutoff(self.r / amp.delta)
+
+    def _signed(self, rho, sign):
+        """The beam's frequency (rho, or its conjugate for sign -1), its
+        phase factor and its principal amplitude."""
+        if sign > 0:
+            return rho, np.exp(1j * rho * self.theta), self.v0
+        rb = np.conj(rho)
+        return (rb, np.exp(-1j * rb * np.conj(self.theta)),
+                np.conj(self.v0))
+
+    def _interp(self, grids, x0):
+        """(x0, axis) grids at (x0, t) by linear interpolation, one set of
+        weights for all of them; 0 off the grid."""
+        i, wx = _linear_weights(self.amp.x0, x0)
+        j, wy = _linear_weights(self.amp.y1, self.t)
+        return [sum(wx[a] * wy[b] * g[i + a, j + b]
+                    for a in (0, 1) for b in (0, 1)) for g in grids]
+
+    def value(self, x0, rho, sign):
+        """e^{i sigma x0} V^{+/-}, sigma = Im rho (the growth factor is
+        excluded)."""
+        rho = complex(rho)
+        x0 = np.asarray(x0)
+        rs, ph, v0 = self._signed(rho, sign)
+        grid = self.amp.v1_plus if sign > 0 else self.amp.v1_minus
+        v1 = 0.0 if grid is None else self._interp([grid], x0)[0]
+        return np.exp(1j * rho.imag * x0) * ph * (v0 + v1 / rs) * self.chi
+
+    @cached_property
+    def _defect_jets(self):
+        """The defect's jets at the points, the cutoff's Laplacian and the
+        subprincipal grids of each sign with their x0 and axis derivatives.
+        On a flat chart the metric is the identity, and the jets are exact
+        when doubled in order."""
+        phase, amp = self.phase, self.amp
+        m, y1 = phase.m, phase.y1
         n = len(y1)
-        # flat chart: identity metric, jets exact when doubled in order
         big = 2 * phase.N
         eye = [[jet_const(m, big, n, 1.0 if i == j else 0.0)
                 for j in range(m + 1)] for i in range(m + 1)]
-        jet_big = YJet(m, big, phase.jet.coeffs)
-        v0_big = YJet(m, big, amp.v0.coeffs)
+        one = jet_const(m, big, n, 1.0)
+        theta = YJet(m, big, phase.jet.coeffs)
+        v0 = YJet(m, big, amp.v0.coeffs)
+        tgrads = _grads(theta, y1)
+        lap_theta = _laplace_beltrami_jet(theta, eye, one, one, y1, big)
 
-        s_jet = _eikonal_defect_jet(jet_big, eye, y1, big)
-        gdet1 = jet_const(m, big, n, 1.0)
-        lap_theta = _laplace_beltrami_jet(jet_big, eye, gdet1, gdet1, y1, big)
-        grads_t = [jet_big.dy1(y1)] + [jet_big.dy(j) for j in range(m)]
-        grads_v = [v0_big.dy1(y1)] + [v0_big.dy(j) for j in range(m)]
-        tv = None
-        for a in range(m + 1):
-            term = grads_t[a].mul(grads_v[a], big)
-            tv = term if tv is None else tv.add(term)
-        transport_v0 = tv.scale(2j).add(lap_theta.mul(v0_big, big).scale(1j))
-        lap_v0 = _laplace_beltrami_jet(v0_big, eye, gdet1, gdet1, y1, big)
+        def ev(jet):
+            return jet.eval_at(y1, self.t, self.ypp)
 
-        ev = lambda J: J.eval_at(y1, self.t, self.ypp)
-        self.theta = ev(jet_big)
-        self.Sv = ev(s_jet)
-        self.v0v = ev(v0_big)
-        self.Tv0 = ev(transport_v0)
-        self.Lap_v0 = ev(lap_v0)
-        self.d1_theta = ev(jet_big.dy1(y1))
-        self.lap_theta = ev(lap_theta)
-        self.grad_theta_off = np.stack([ev(jet_big.dy(j)) for j in range(m)],
-                                       axis=-1)
-        self.grad_v0_off = np.stack([ev(v0_big.dy(j)) for j in range(m)],
-                                    axis=-1)
-        r = np.sqrt(np.sum(self.ypp ** 2, axis=-1))
-        s = r / amp.delta
-        self.chi = smooth_cutoff(s)
-        chi_p = smooth_cutoff(s, 1) / amp.delta
-        chi_pp = smooth_cutoff(s, 2) / amp.delta ** 2
+        r, delta = self.r, amp.delta
+        chi_p = smooth_cutoff(r / delta, 1) / delta
         rsafe = np.where(r > 1e-12, r, 1.0)
-        self.grad_chi = chi_p[..., None] * self.ypp / rsafe[..., None]
-        self.lap_chi = chi_pp + np.where(r > 1e-12, (m - 1) * chi_p / rsafe, 0.0)
-
-        # subprincipal grids and their axis derivatives
+        grad_chi = chi_p[..., None] * self.ypp / rsafe[..., None]
+        jets = np.stack([
+            ev(_eikonal_defect_jet(theta, eye, y1, big)),
+            ev(_transport_jet(v0, tgrads, lap_theta, eye, y1, big)),
+            ev(_laplace_beltrami_jet(v0, eye, one, one, y1, big)),
+            ev(tgrads[0]), ev(lap_theta),
+            sum(ev(g) * grad_chi[..., j] for j, g in enumerate(tgrads[1:])),
+            sum(ev(v0.dy(j)) * grad_chi[..., j] for j in range(m))])
+        lap_chi = smooth_cutoff(r / delta, 2) / delta ** 2 \
+            + np.where(r > 1e-12, (m - 1) * chi_p / rsafe, 0.0)
+        v1_grids = {}
         if amp.v1_plus is not None:
-            x0g, y1g = amp.x0, amp.y1
-            self._v1 = {}
-            for sgn, data in ((+1, amp.v1_plus), (-1, amp.v1_minus)):
-                d0 = np.gradient(data, x0g, axis=0)
-                d1 = np.gradient(data, y1g, axis=1)
-                d00 = np.gradient(d0, x0g, axis=0)
-                d11 = np.gradient(d1, y1g, axis=1)
-                self._v1[sgn] = (data, d0, d1, d00, d11)
-        else:
-            self._v1 = None
+            for sign, data in ((+1, amp.v1_plus), (-1, amp.v1_minus)):
+                d0 = np.gradient(data, amp.x0, axis=0)
+                d1 = np.gradient(data, amp.y1, axis=1)
+                v1_grids[sign] = (data, d0, d1,
+                                  np.gradient(d0, amp.x0, axis=0),
+                                  np.gradient(d1, amp.y1, axis=1))
+        return jets, lap_chi, v1_grids
 
-    def eval(self, x0, rho):
+    def defect(self, x0, rho, sign):
+        """e^{i sigma x0} times the conjugated-operator defect of the
+        truncated beam, on a flat chart."""
         rho = complex(rho)
-        sign = self.sign
-        if sign > 0:
-            rr = rho
-            Sv, Tv0, Lap = self.Sv, self.Tv0, self.Lap_v0
-            v0v = self.v0v
-            theta = self.theta
-            d1t, lapt = self.d1_theta, self.lap_theta
-            gt_off, gv_off = self.grad_theta_off, self.grad_v0_off
-            tsig = -1.0
-        else:
-            rr = np.conj(rho)
-            Sv = np.conj(self.Sv)
-            Tv0 = -np.conj(self.Tv0)
-            Lap = np.conj(self.Lap_v0)
-            v0v = np.conj(self.v0v)
-            theta = np.conj(self.theta)
-            d1t, lapt = np.conj(self.d1_theta), np.conj(self.lap_theta)
-            gt_off = np.conj(self.grad_theta_off)
-            gv_off = np.conj(self.grad_v0_off)
-            tsig = +1.0
-
         x0 = np.asarray(x0)
-        if self._v1 is not None:
-            v1, v1_d0, v1_d1, v1_d00, v1_d11 = (
-                self.amp.interp(d, x0, self.t) for d in self._v1[sign])
+        jets, lap_chi, v1_grids = self._defect_jets
+        rr, ph, v0 = self._signed(rho, sign)
+        eik, T_v0, lap_v0, d1_theta, lap_theta, dtheta_dchi, dv0_dchi = (
+            jets if sign > 0 else np.conj(jets))
+        # the minus beam's transport term is minus the conjugate, and the
+        # first-order terms enter the two signs' operators with opposite signs
+        T_v0, tsig = (T_v0, -1.0) if sign > 0 else (-T_v0, 1.0)
+        if v1_grids:
+            v1, v1_d0, v1_d1, v1_d00, v1_d11 = self._interp(v1_grids[sign], x0)
         else:
             v1 = v1_d0 = v1_d1 = v1_d00 = v1_d11 = 0.0
-
-        a_core = v0v + v1 / rr
-        T_v1 = 2.0 * v1_d0 + 2j * d1t * v1_d1 + 1j * lapt * v1
-        P_v0 = -Lap
-        P_v1 = -(v1_d00 + v1_d11)
-        grad_pair = np.einsum("...j,...j->...", gt_off, self.grad_chi)
-        gradv_pair = np.einsum("...j,...j->...", gv_off, self.grad_chi)
-
-        D = (-rr ** 2 * Sv * a_core * self.chi
-             + tsig * rr * (self.chi * Tv0 + v0v * 2j * grad_pair)
-             + tsig * (self.chi * T_v1 + v1 * 2j * grad_pair)
-             + self.chi * (P_v0 + P_v1 / rr)
-             - 2.0 * gradv_pair - a_core * self.lap_chi)
-        ph = np.exp(1j * rr * theta) if sign > 0 \
-            else np.exp(-1j * rr * theta)
+        chi = self.chi
+        a_core = v0 + v1 / rr
+        T_v1 = 2.0 * v1_d0 + 2j * d1_theta * v1_d1 + 1j * lap_theta * v1
+        D = (-rr ** 2 * eik * a_core * chi
+             + tsig * rr * (chi * T_v0 + v0 * 2j * dtheta_dchi)
+             + tsig * (chi * T_v1 + v1 * 2j * dtheta_dchi)
+             - chi * (lap_v0 + (v1_d00 + v1_d11) / rr)
+             - 2.0 * dv0_dchi - a_core * lap_chi)
         return np.exp(1j * rho.imag * x0) * ph * D
+
+
+def quasimode_eval(phase, amp, rho, sign, x0, t, ypp):
+    """e^{i sigma x0} V^{+/-} at tube points, sigma = Im rho (the growth
+    factor is excluded)."""
+    return TubeBeam(phase, amp, t, ypp).value(x0, rho, sign)
 
 
 def tube_grid(phase, width, ny1, ns):
@@ -746,15 +738,15 @@ def tube_grid(phase, width, ny1, ns):
     return y1, T, ypp, wgt
 
 
-def quasimode_lp_norm(phase, amp, rho, sign, chart, fermi=None, p=2,
-                      ny1=200, nypp=121, nx0=33):
-    """L^p norm over I x tube, with the volume element of ``fermi``
-    (1 without it)."""
+def _tube_norm(method, phase, amp, rho, sign, chart, p, ny1, nypp, nx0,
+               fermi=None):
+    """(sum |f|^p vol wgt dx0 dy1)^(1/p) over I x tube, f the ``TubeBeam``
+    method on the tube grid at ``amp.delta`` and a column of x0 nodes, with
+    the volume element of ``fermi`` (1 without it)."""
     a0, b0 = chart.interval
     y1, T, ypp, wgt = tube_grid(phase, amp.delta, ny1, nypp)
     x0 = np.linspace(a0, b0, nx0)
-    vals = quasimode_eval(phase, amp, rho, sign,
-                          x0[:, None, None], T[None], ypp[None])
+    vals = method(TubeBeam(phase, amp, T, ypp), x0[:, None, None], rho, sign)
     vol = np.ones(T.shape) if fermi is None else fermi.forward(T, ypp)[1]
     dy1 = y1[1] - y1[0]
     dx0 = x0[1] - x0[0]
@@ -762,22 +754,21 @@ def quasimode_lp_norm(phase, amp, rho, sign, chart, fermi=None, p=2,
                   * dx0 * dy1) ** (1.0 / p))
 
 
+def quasimode_lp_norm(phase, amp, rho, sign, chart, fermi=None, p=2,
+                      ny1=200, nypp=121, nx0=33):
+    """L^p norm over I x tube, with the volume element of ``fermi``
+    (1 without it)."""
+    return _tube_norm(TubeBeam.value, phase, amp, rho, sign, chart, p, ny1,
+                      nypp, nx0, fermi)
+
+
 def conjugated_defect_norm(phase, amp, rho, sign, chart, ny1=200, nypp=121,
                            nx0=33):
     """L^2 norm of the beam defect over the tube (flat charts)."""
     if not chart.metric.is_flat:
         raise UnsupportedOrder("defect evaluation is exact on flat charts only")
-    a0, b0 = chart.interval
-    y1, T, ypp, wgt = tube_grid(phase, amp.delta, ny1, nypp)
-    defect = TubeDefect(phase, amp, sign, T, ypp)
-    x0 = np.linspace(a0, b0, nx0)
-    total = 0.0
-    for x in x0:
-        vals = defect.eval(np.full(T.shape, x), rho)
-        total += np.sum(np.abs(vals) ** 2 * wgt[:, None])
-    dy1 = y1[1] - y1[0]
-    dx0 = x0[1] - x0[0]
-    return math.sqrt(total * dx0 * dy1)
+    return _tube_norm(TubeBeam.defect, phase, amp, rho, sign, chart, 2, ny1,
+                      nypp, nx0)
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +815,15 @@ def _axis_taper(path, phase, t):
     return smooth_cutoff(s)
 
 
+def _collar(chart, r):
+    """Smooth in the chart radius: 1 on the chart, 0 from half the extension
+    margin beyond it.  Cuts the defect to a compact extension of its
+    restriction to the manifold."""
+    width = 0.5 * chart.extension_margin
+    return smooth_cutoff(0.5 * (1.0 + np.clip((r - chart.radius) / width,
+                                              0.0, None)))
+
+
 def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1):
     """Complete the beam to an exponential solution on a flat chart.
 
@@ -843,24 +843,20 @@ def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1):
     diff = XP[0] - path.point(0.0)
     t = diff @ path.velocity(0.0)
     ypp = diff @ path.frame_at(0.0)
-    width = 0.5 * chart.extension_margin
     r = np.sqrt(np.sum(XP[0] ** 2, axis=-1))
-    collar = smooth_cutoff(0.5 * (1.0 + np.clip((r - chart.radius) / width,
-                                                0.0, None)))
+    collar = _collar(chart, r)
     tube = (np.abs(t) <= phase.y1[-1] - 1e-9) \
         & (np.sum(ypp ** 2, axis=-1) <= amp.delta ** 2)
     iq = np.where(tube)
-    tq, pq = t[iq], ypp[iq]
-    taper = _axis_taper(path, phase, tq)
     idx = np.where(tube & (collar > 0))
-    tv, pv, cv = t[idx], ypp[idx], collar[idx]
-    defect = TubeDefect(phase, amp, sign, tv, pv)
     x0 = grid.x0[:, None]
     all_x0 = (slice(None),)
     Q = np.zeros(grid.shape, dtype=complex)
     source = np.zeros(grid.shape, dtype=complex)
-    Q[all_x0 + iq] = quasimode_eval(phase, amp, rho, sign, x0, tq, pq) * taper
-    source[all_x0 + idx] = -defect.eval(x0, rho) * cv
+    Q[all_x0 + iq] = (TubeBeam(phase, amp, t[iq], ypp[iq]).value(x0, rho, sign)
+                      * _axis_taper(path, phase, t[iq]))
+    source[all_x0 + idx] = (-TubeBeam(phase, amp, t[idx], ypp[idx])
+                            .defect(x0, rho, sign) * collar[idx])
     lam_signed = lam if sign > 0 else -lam
     R, report = conjugated_solve(source, grid, lam_signed)
     U = Q + R

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cgo import (assemble_cgo, build_amplitude, build_phase, quasimode_eval,
+from .cgo import (TubeBeam, assemble_cgo, build_amplitude, build_phase,
                   tube_grid)
 from .errors import ModeMismatch
 from .geometry import FermiChart, trace_geodesic
@@ -174,12 +174,13 @@ def tube_interaction(bundle, field_fn, phase, amp, factor_sets, lam, sigmas):
     # coefficients live on the manifold and extend by zero past the chart
     fv = field_fn(x0[:, None, None], pts[None]).reshape(TUBE_NX0, -1)
     meas = (chart.inside(pts) * vol * wgt[:, None]).ravel()
-    theta = phase.theta(T, ypp).ravel()
+    beam = TubeBeam(phase, amp, T, ypp)
+    theta = beam.theta.ravel()
     out = np.empty((len(sigmas), len(factor_sets)), dtype=complex)
     for j, factors in enumerate(factor_sets):
         A, B = meas, 0.0
         for c, sign, power in factors:
-            q = quasimode_eval(phase, amp, c * lam, sign, 0.0, T, ypp)
+            q = beam.value(0.0, c * lam, sign)
             A = A * q.ravel() ** power
             B = B - power * c * (theta if sign > 0 else np.conj(theta))
         s = sum(c * power for c, _, power in factors)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
-from beamlab.cgo import (_transport_sweep, assemble_cgo, build_amplitude,
-                         build_phase,
+from beamlab.cgo import (TubeBeam, _transport_sweep, assemble_cgo,
+                         build_amplitude, build_phase,
                          conjugated_defect_norm, dbar_solve,
                          eikonal_defect_exact, quasimode_eval,
-                         quasimode_lp_norm, smooth_cutoff)
+                         quasimode_lp_norm, smooth_cutoff, tube_grid)
 from beamlab.cylinder import make_cylinder_grid
 from beamlab.errors import UnsupportedOrder
 from beamlab.geometry import FermiChart, make_chart, rk4_step, trace_geodesic
@@ -272,6 +272,25 @@ class TestRates:
             slope = np.polyfit(np.log(self.lams), np.log(dn), 1)[0]
             assert slope <= 2 - N / 2 - 0.25 + 0.3
 
+    def test_defect_norm_matches_per_node_sum(self, flat_beam):
+        # every x0 node in one batched defect call equals the sum over the
+        # nodes one at a time, for both signs
+        ch, p, K, Y = flat_beam
+        ph = build_phase(p, Y, N=2, ny1=201)
+        amp = build_amplitude(p, ph, Y, N_amp=1)
+        rho = complex(30.0, self.sigma)
+        y1, T, ypp, wgt = tube_grid(ph, amp.delta, 41, 21)
+        x0 = np.linspace(*ch.interval, 9)
+        beam = TubeBeam(ph, amp, T, ypp)
+        for sign in (+1, -1):
+            total = sum(np.sum(np.abs(beam.defect(np.full(T.shape, x), rho,
+                                                  sign)) ** 2 * wgt[:, None])
+                        for x in x0)
+            ref = np.sqrt(total * (x0[1] - x0[0]) * (y1[1] - y1[0]))
+            got = conjugated_defect_norm(ph, amp, rho, sign, ch, ny1=41,
+                                         nypp=21, nx0=9)
+            assert abs(got - ref) <= 1e-13 * ref
+
     def test_minus_beam_pairing(self, flat_beam):
         # conjugate-phase beam from the same jets at sampled points
         ch, p, K, Y = flat_beam
@@ -292,6 +311,36 @@ class TestRates:
         np.testing.assert_allclose(minus, expect_minus, rtol=1e-12)
         # |V^+- | share the same Gaussian envelope
         np.testing.assert_allclose(np.abs(plus), np.abs(minus), rtol=1e-10)
+
+    def test_subprincipal_grids_interpolated_linearly(self, flat_beam):
+        # v1 enters the beam by linear interpolation on its (x0, axis) grid,
+        # 0 off the grid: the last two x0 lie outside it
+        ch, p, K, Y = flat_beam
+        V1 = make_field("gaussian", amp=0.6, center=(0.5, 0.1, 0.0),
+                        width=0.5)
+        ph = build_phase(p, Y, N=2)
+        amp = build_amplitude(p, ph, Y, V1=V1, N_amp=1)
+        rho = complex(30.0, 1.0)
+        t = np.array([0.2, -0.4, 0.7, 0.1, -0.3])
+        ypp = np.array([[0.1], [0.2], [-0.3], [0.0], [0.1]])
+        x0 = np.array([0.3, 0.61, -0.45, amp.x0[-1] + 0.1, amp.x0[0] - 0.1])
+        theta = ph.theta(t, ypp)
+        v0 = amp.v0_eval(t, ypp)
+        chi = smooth_cutoff(np.abs(ypp[:, 0]) / amp.delta)
+        for sign, grid, ph_s, v0_s, rs in (
+                (+1, amp.v1_plus, np.exp(1j * rho * theta), v0, rho),
+                (-1, amp.v1_minus, np.exp(-1j * np.conj(rho)
+                                          * np.conj(theta)),
+                 np.conj(v0), np.conj(rho))):
+            v1 = RegularGridInterpolator((amp.x0, amp.y1), grid,
+                                         bounds_error=False, fill_value=0.0)(
+                np.stack([x0, t], axis=-1))
+            assert np.all(v1[:3] != 0) and np.all(v1[3:] == 0)
+            expect = (np.exp(1j * rho.imag * x0) * ph_s * (v0_s + v1 / rs)
+                      * chi)
+            np.testing.assert_allclose(quasimode_eval(ph, amp, rho, sign,
+                                                      x0, t, ypp),
+                                       expect, rtol=1e-13)
 
 
 class TestAssembly:
@@ -343,19 +392,15 @@ class TestAssembly:
         batched = [assemble_cgo(p, ph, amp, 20.0, 1.0, grid, sign=s)
                    for s in (+1, -1)]
 
-        q_eval, d_eval = cgo.quasimode_eval, cgo.TubeDefect.eval
+        def per_node(method):
+            def loop(beam, x0, rho, sign):
+                return np.stack([method(beam, np.full(beam.t.shape, x), rho,
+                                        sign) for x in grid.x0])
+            return loop
 
-        def q_loop(phase, amp, rho, sign, x0, t, ypp):
-            return np.stack([q_eval(phase, amp, rho, sign,
-                                    np.full(t.shape, x), t, ypp)
-                             for x in grid.x0])
-
-        def d_loop(defect, x0, rho):
-            return np.stack([d_eval(defect, np.full(defect.t.shape, x), rho)
-                             for x in grid.x0])
-
-        monkeypatch.setattr(cgo, "quasimode_eval", q_loop)
-        monkeypatch.setattr(cgo.TubeDefect, "eval", d_loop)
+        for name in ("value", "defect"):
+            monkeypatch.setattr(cgo.TubeBeam, name,
+                                per_node(getattr(cgo.TubeBeam, name)))
         for s, new in zip((+1, -1), batched):
             ref = assemble_cgo(p, ph, amp, 20.0, 1.0, grid, sign=s)
             for a, b in ((new.field, ref.field),

@@ -3,8 +3,8 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from beamlab import recon
-from beamlab.cgo import (assemble_cgo, build_amplitude, build_phase,
-                         quasimode_eval, tube_grid)
+from beamlab.cgo import (PhaseJet, assemble_cgo, build_amplitude,
+                         build_phase, quasimode_eval, tube_grid)
 from beamlab.cylinder import make_cylinder_grid
 from beamlab.errors import ModeMismatch
 from beamlab.geometry import FermiChart, make_chart
@@ -150,6 +150,12 @@ def interaction_with_x0_axis(bundle, field_fn, phase, amp, factor_sets, lam):
     return out
 
 
+# the v3 factor set and both v2 pairings
+FACTOR_SETS = ([(1.0, +1, 2), (1.0, -1, 2)],
+               [(1.0, +1, 2), (2.0, -1, 1)],
+               [(1.0, -1, 2), (2.0, +1, 1)])
+
+
 class TestTubeInteraction:
     @pytest.mark.parametrize("kind, params", [
         ("flat_disk", {"tube_radius": 0.7}),
@@ -168,20 +174,32 @@ class TestTubeInteraction:
         lam = 320.0
         # the ends of criterion 10's sigma grid, zero and an interior value
         sigmas = np.array([-0.5, -0.2, 0.0, 0.5])
-        # the v3 set and both v2 pairings
-        sets = ([(1.0, +1, 2), (1.0, -1, 2)],
-                [(1.0, +1, 2), (2.0, -1, 1)],
-                [(1.0, -1, 2), (2.0, +1, 1)])
-        got = tube_interaction(bundle, fld, phase, amp, sets, lam, sigmas)
-        assert got.shape == (len(sigmas), len(sets))
+        got = tube_interaction(bundle, fld, phase, amp, FACTOR_SETS, lam,
+                               sigmas)
+        assert got.shape == (len(sigmas), len(FACTOR_SETS))
         for i, sigma in enumerate(sigmas):
             rho = complex(lam, sigma)
             refs = interaction_with_x0_axis(
                 bundle, fld, phase, amp,
-                [[(c * rho, sign, p) for c, sign, p in fs] for fs in sets],
-                lam)
+                [[(c * rho, sign, p) for c, sign, p in fs]
+                 for fs in FACTOR_SETS], lam)
             for j, ref in enumerate(refs):
                 assert abs(got[i, j] - ref) <= 1e-12 * abs(ref)
+
+    def test_phase_sampled_once(self, v3_setup, monkeypatch):
+        # one beam sampler per call serves theta and every factor
+        task, bundle = v3_setup
+        _, phase, amp = bundle.beam(0.2, task.N, task.delta)
+        theta, calls = PhaseJet.theta, []
+
+        def counted(self, t, ypp):
+            calls.append(t.shape)
+            return theta(self, t, ypp)
+
+        monkeypatch.setattr(PhaseJet, "theta", counted)
+        tube_interaction(bundle, task.V.coeff(3), phase, amp, FACTOR_SETS,
+                         320.0, [-0.5, 0.0])
+        assert len(calls) == 1
 
     def test_subprincipal_amplitude_rejected(self, v3_setup):
         # the (x0, axis) grids of an n_amp = 1 amplitude depend on x0, which
