@@ -435,31 +435,26 @@ def smooth_cutoff(s, deriv=0):
 def _cell_averaged_cauchy(a0, a1, h0, h1):
     """Cell averages of 1/(2 pi z) over the lattice rectangles.
 
-    Stokes gives the cell integral as (i/2) of the contour integral of
-    log z dz-bar; with the primitive P(z) = z log(z/u) - z, where u points at
-    the cell center so the rotated principal branch is single-valued on the
-    cell, the contour collapses to corner differences.  Branch constants drop
-    out around closed contours.  The origin cell averages to zero by symmetry.
+    ``a0``, ``a1`` are the cell centers, uniform with steps ``h0``, ``h1``,
+    and both contain 0.  Stokes gives the cell integral as (i/2) of the
+    contour integral of log z dz-bar; with the primitive P(z) = z Log z - z,
+    evaluated once on the corner lattice, the contour collapses to signed
+    corner differences.  Any branch constant c adds c z to P and cancels,
+    since the signed corner sum of z is 0; only the cells of the center row
+    left of the origin, which the principal cut (the negative real axis)
+    crosses, need Log z + 2 pi i at their lower corners, which adds -1/h1
+    to their average.  The origin cell averages to zero by symmetry.
     """
-    X, Y = np.meshgrid(a0, a1, indexing="ij")
-    Zc = X + 1j * Y
-    absZ = np.abs(Zc)
-    u = np.where(absZ > 0, Zc / np.where(absZ > 0, absZ, 1.0), 1.0)
-
-    def prim(zx, zy):
-        z = zx + 1j * zy
-        w = z / u
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lg = np.where(np.abs(w) > 0, np.log(np.where(np.abs(w) > 0, w, 1.0)),
-                          0.0)
-        return z * lg - z
-
-    xm, xp = X - h0 / 2, X + h0 / 2
-    ym, yp = Y - h1 / 2, Y + h1 / 2
-    contour = 2.0 * (prim(xp, ym) + prim(xm, yp) - prim(xp, yp) - prim(xm, ym))
+    c0 = np.append(a0 - h0 / 2, a0[-1] + h0 / 2)
+    c1 = np.append(a1 - h1 / 2, a1[-1] + h1 / 2)
+    Z = c0[:, None] + 1j * c1[None, :]
+    # Log z = log|z| + i arg z with arg in (-pi, pi]; faster than complex log
+    P = Z * (np.log(np.abs(Z)) - 1.0 + 1j * np.angle(Z))
+    contour = 2.0 * (P[1:, :-1] + P[:-1, 1:] - P[1:, 1:] - P[:-1, :-1])
     avg = (1j / (4.0 * np.pi)) * contour / (h0 * h1)
     i0 = int(np.argmin(np.abs(a0)))
     i1 = int(np.argmin(np.abs(a1)))
+    avg[:i0, i1] -= 1.0 / h1
     avg[i0, i1] = 0.0
     return avg
 
@@ -472,21 +467,19 @@ def dbar_solve(F, y0, y1):
     """Particular solution of (d/dy0 + i d/dy1) r = F via the Cauchy kernel.
 
     The source, of shape (..., len(y0), len(y1)) with any stacked leading
-    axes, is zero-padded to ``DBAR_PAD`` times its extent and convolved with
-    the cell-averaged kernel 1/(2 pi (y0 + i y1)), built once per call.
+    axes, is zero-padded by the FFT length to ``DBAR_PAD`` times its extent
+    and convolved with the cell-averaged kernel 1/(2 pi (y0 + i y1)), built
+    once per call on the corner lattice of the padded grid.
     """
     F = np.asarray(F, dtype=complex)
     n0, n1 = F.shape[-2:]
     h0 = y0[1] - y0[0]
     h1 = y1[1] - y1[0]
     N0, N1 = DBAR_PAD * n0, DBAR_PAD * n1
-    buf = np.zeros(F.shape[:-2] + (N0, N1), dtype=complex)
-    buf[..., :n0, :n1] = F
     a0 = (np.arange(N0) - N0 // 2) * h0
     a1 = (np.arange(N1) - N1 // 2) * h1
-    Gam = _cell_averaged_cauchy(a0, a1, h0, h1)
-    Gam = np.roll(np.roll(Gam, -(N0 // 2), axis=0), -(N1 // 2), axis=1)
-    conv = np.fft.ifft2(np.fft.fft2(buf) * np.fft.fft2(Gam)) * h0 * h1
+    Gam = np.fft.ifftshift(_cell_averaged_cauchy(a0, a1, h0, h1))
+    conv = np.fft.ifft2(np.fft.fft2(F, s=(N0, N1)) * np.fft.fft2(Gam)) * h0 * h1
     return conv[..., :n0, :n1]
 
 

@@ -136,13 +136,16 @@ def s_a_apply(h, dx, a):
     """Inverse of (d/dx + a) on the line, restricted to the input window.
 
     ``h`` holds line samples along axis 0 and ``a`` broadcasts against
-    ``h.shape[1:]``, one symbol parameter per column.  For kernels that die
-    out inside the padding this divides by the symbol (i xi + a) on a
-    zero-padded grid.  Slowly decaying kernels (|a| small, e.g. near-resonant
-    modes) would wrap under periodization, so they are convolved linearly
-    instead, with exact cell integrals of the one-sided exponential kernel;
-    that reproduces the decaying line solution on the window regardless of
-    |a|.  The branch is picked per column.
+    ``h.shape[1:]``, one symbol parameter per line.  The lines are
+    transformed as rows (contiguous when ``h`` is the transpose of a row
+    block), zero-padded by the FFT length, and multiplied in place by one
+    transfer per line.  For kernels that die out inside the padding the
+    transfer is the inverse symbol 1/(i xi + a).  Slowly decaying kernels
+    (|a| small, e.g. near-resonant modes) would wrap under periodization, so
+    their transfer is the transform of exact cell integrals of the one-sided
+    exponential kernel, a linear convolution that reproduces the decaying
+    line solution on the window regardless of |a|.  The result has the
+    layout of ``h``.
     """
     h = np.asarray(h, dtype=complex)
     a = np.broadcast_to(a, h.shape[1:])
@@ -152,25 +155,25 @@ def s_a_apply(h, dx, a):
     npad = S_A_PAD * n
     # the kernel support (npad - n cells) and the signal (n cells) fit in the
     # pad, so the circular product realizes the non-circular convolution
-    buf = np.zeros((npad,) + h.shape[1:], dtype=complex)
-    buf[:n] = h
-    buf = np.fft.fft(buf, axis=0)
-    spectral = np.abs(a) * (npad - n) * dx >= 40.0
+    buf = np.fft.fft(np.moveaxis(h, 0, -1), npad)
     xi = 2.0 * np.pi * np.fft.fftfreq(npad, dx)
-    buf[:, spectral] /= 1j * xi[:, None] + a[spectral]
+    transfer = 1j * xi + a[..., None]
+    np.divide(1.0, transfer, out=transfer)
     # u(x) = int_0^inf e^{-a s} h(x - s) ds for Re a >= 0 and
     # u(x) = -int_0^inf e^{a s} h(x + s) ds otherwise: cell integrals of the
     # kernel e^{-b s}, b = a sign(Re a), at the lags m sign(Re a)
-    sign = np.where(np.real(a[~spectral]) >= 0, 1, -1)
-    b = sign * a[~spectral]
-    m = np.arange(npad - n - 1)[:, None]
-    ker = np.zeros((npad, b.size), dtype=complex)
+    conv = np.abs(a) * (npad - n) * dx < 40.0
+    sign = np.where(np.real(a[conv]) >= 0, 1, -1)[:, None]
+    b = sign * a[conv][:, None]
+    m = np.arange(npad - n - 1)
+    ker = np.zeros((b.size, npad), dtype=complex)
     cells = np.where(m == 0, 1.0 - np.exp(-b * dx / 2),
                      np.exp(-b * (m * dx - dx / 2))
                      - np.exp(-b * (m * dx + dx / 2))) / (b * dx)
-    np.put_along_axis(ker, (sign * m) % npad, sign * cells, axis=0)
-    buf[:, ~spectral] *= np.fft.fft(ker, axis=0) * dx
-    return np.fft.ifft(buf, axis=0)[:n]
+    np.put_along_axis(ker, (sign * m) % npad, sign * cells, axis=-1)
+    transfer[conv] = np.fft.fft(ker) * dx
+    buf *= transfer
+    return np.moveaxis(np.fft.ifft(buf, out=buf)[..., :n], -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +215,11 @@ def _free_solve(Fw, grid, lam, basis, keep=None):
     a_big, a_small = lam + root, lam - root
     swap = np.abs(a_small) > np.abs(a_big)
     a_big, a_small = np.where(swap, a_small, a_big), np.where(swap, a_big, a_small)
+    # kept modes gathered once as contiguous (mode, x0) rows; s_a_apply
+    # takes lines along axis 0, so it is handed their transpose
+    rows = np.moveaxis(Fhat, 0, -1)[keep]
     Rhat = np.zeros_like(Fhat)
-    Rhat[:, keep] = -s_a_apply(s_a_apply(Fhat[:, keep], grid.dx0, a_big),
+    Rhat[:, keep] = -s_a_apply(s_a_apply(rows.T, grid.dx0, a_big),
                                grid.dx0, a_small)
     R = np.fft.ifftn(Rhat, axes=taxes)
     lost = float(np.sum(energy[~keep]) / total)

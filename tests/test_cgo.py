@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
-from beamlab.cgo import (TubeBeam, _transport_sweep, assemble_cgo,
+from beamlab.cgo import (TubeBeam, _cell_averaged_cauchy,
+                         _transport_sweep, assemble_cgo,
                          build_amplitude, build_phase,
                          conjugated_defect_norm, dbar_solve,
                          eikonal_defect_exact, quasimode_eval,
@@ -179,6 +180,34 @@ class TestDbar:
         assert r.shape == F.shape
         for idx in np.ndindex(2, 2):
             assert np.array_equal(r[idx], dbar_solve(F[idx], y0, y1))
+
+    def test_cell_kernel_matches_rotated_branch(self):
+        # reference: each cell's primitive P(z) = z log(z/u) - z on the
+        # principal branch rotated by u, the unit vector to the cell center,
+        # which is single-valued on every cell but the origin one.  Row 32
+        # (a1 = 0) holds the cells left of the origin that the principal
+        # cut of Log crosses.
+        h0, h1 = 0.05, 0.03
+        a0 = (np.arange(40) - 20) * h0
+        a1 = (np.arange(64) - 32) * h1
+        X, Y = np.meshgrid(a0, a1, indexing="ij")
+        Zc = X + 1j * Y
+        absZ = np.abs(Zc)
+        u = np.where(absZ > 0, Zc / np.where(absZ > 0, absZ, 1.0), 1.0)
+
+        def prim(zx, zy):
+            z = zx + 1j * zy
+            return z * np.log(z / u) - z
+
+        contour = 2.0 * (prim(X + h0 / 2, Y - h1 / 2)
+                         + prim(X - h0 / 2, Y + h1 / 2)
+                         - prim(X + h0 / 2, Y + h1 / 2)
+                         - prim(X - h0 / 2, Y - h1 / 2))
+        ref = (1j / (4.0 * np.pi)) * contour / (h0 * h1)
+        ref[20, 32] = 0.0
+        gam = _cell_averaged_cauchy(a0, a1, h0, h1)
+        assert gam[20, 32] == 0.0
+        assert np.max(np.abs(gam - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_residual_bump(self):
         n = 256

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from beamlab.cylinder import (EigenBasis, conjugated_solve, make_cylinder_grid,
-                              s_a_apply, sobolev_norm)
+from beamlab.cylinder import (S_A_PAD, EigenBasis, conjugated_solve,
+                              make_cylinder_grid, s_a_apply, sobolev_norm)
 from beamlab.errors import NeumannDivergence, ResonantLambda, ZeroSymbol
 from beamlab.geometry import make_chart
 
@@ -65,6 +65,35 @@ class TestSA:
             assert out[i].real == pytest.approx(oracle(self.x[i]), abs=1e-8)
             assert abs(out[i].imag) <= 1e-12
 
+    @pytest.mark.parametrize("a", [1.5 + 0.5j, -2.0 + 1.0j])
+    def test_convolution_branch_oracle(self, a):
+        # |a| (npad - n) dx < 40 picks the convolution branch; Re a < 0 takes
+        # the anti-causal kernel u(x) = -int_0^inf e^{a s} h(x + s) ds
+        npad = S_A_PAD * self.n
+        assert abs(a) * (npad - self.n) * self.dx < 40.0
+        out = s_a_apply(self.h, self.dx, a)
+        sign = 1.0 if a.real >= 0 else -1.0
+        b = sign * a
+
+        def oracle(xx):
+            return sign * quad(
+                lambda s: np.exp(-b * s) * np.exp(-(xx - sign * s) ** 2 / 0.1),
+                0.0, 30.0, epsrel=1e-12, limit=400, complex_func=True)[0]
+
+        # The branch multiplies each sample h(x - m dx) by the exact cell
+        # integral of the kernel k(s) = e^{-b s} (|k| <= 1) over the lag cell
+        # [m dx - dx/2, m dx + dx/2] (only [0, dx/2] for m = 0).  Expanding h
+        # across a cell, the half cell at the jump of k costs |h'| dx^2 / 8,
+        # and every other cell costs dx^3 (|b h'| / 12 + |h''| / 24), which
+        # sums to dx^2 (|b| ||h'||_1 / 12 + ||h''||_1 / 24).  For
+        # h = exp(-x^2 / 0.1): max|h'| = sqrt(20) e^{-1/2}, ||h'||_1 = 2 (h
+        # rises to 1 and falls back), ||h''||_1 = 4 max|h'| (h' swings up,
+        # down and back).
+        dh = np.sqrt(20.0) * np.exp(-0.5)
+        tol = self.dx ** 2 * (dh / 8 + abs(b) * 2.0 / 12 + 4.0 * dh / 24)
+        for i in range(40, 216, 25):
+            assert abs(out[i] - oracle(self.x[i])) <= tol
+
     def test_operator_bound_halving(self):
         # spectrally narrow input: gain tracks 1/|a|, halving per doubling
         n, dx = 512, 0.04
@@ -115,6 +144,33 @@ class TestConjugatedSolve:
         # compare on the physical window against the 1D composition
         m = grid3.physical_mask()
         assert np.max(np.abs(got[m] - ref[m])) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_modes_match_per_mode_composition(self, grid3):
+        # several transversal modes, each with its own x0 profile; at this
+        # lambda, (5, 2) is near resonance and (5, 2), (3, -1) and (0, 7)
+        # take the convolution branch of the short-range pass ((0, 7) its
+        # anti-causal kernel), the others the spectral one
+        basis = EigenBasis(grid3)
+        X0, X1, X2 = grid3.mesh()
+        lam = 11.5
+        modes = [((5, 2), 0.5, 0.04, 1.0), ((3, -1), 0.3, 0.02, 0.5 - 1.0j),
+                 ((0, 7), 0.7, 0.03, 2.0j), ((-9, 4), 0.45, 0.05, -0.8),
+                 ((1, 0), 0.6, 0.01, 0.3 + 0.3j)]
+        F = sum(c * np.exp(-(X0 - x) ** 2 / w)
+                * np.exp(1j * (basis.omega[idx][0] * X1
+                               + basis.omega[idx][1] * X2))
+                for idx, x, w, c in modes)
+        R, rep = conjugated_solve(F, grid3, lam)
+        assert rep.modes == len(modes)
+        Fhat = np.fft.fftn(F * grid3.window[:, None, None], axes=(1, 2))
+        Rhat = np.fft.fftn(R, axes=(1, 2))
+        for idx, *_ in modes:
+            root = np.sqrt(basis.eigenvalue(idx))
+            line = (slice(None),) + idx
+            ref = -s_a_apply(s_a_apply(Fhat[line], grid3.dx0, lam + root),
+                             grid3.dx0, lam - root)
+            err = np.max(np.abs(Rhat[line] - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref))
 
     def test_residual_small(self, grid3):
         X0, X1, X2 = grid3.mesh()
