@@ -47,6 +47,6 @@ print(f"  defect norm slope : {np.polyfit(np.log(lams), np.log(dn), 1)[0]:+.3f}"
 print()
 print("assembly: remainder through the cylinder right inverse at lambda = 40")
 grid = make_cylinder_grid(chart, nx0=96, ntrans=192)
-sol = assemble_cgo(path, phase, amp, 40.0, sigma, grid, sign=+1)
+(sol,) = assemble_cgo(path, phase, amp, 40.0, sigma, grid, signs=(+1,))
 print(f"  solver residual      : {sol.report.residual_l2:.2e}")
 print(f"  discrete PDE residual: {sol.pde_residual:.2e} (relative)")

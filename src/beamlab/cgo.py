@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 from .cylinder import apply_conjugated, conjugated_solve
@@ -459,23 +460,20 @@ def _cell_averaged_cauchy(a0, a1, h0, h1):
     return avg
 
 
-# zero padding of the d-bar source, as a multiple of its extent per axis
-DBAR_PAD = 4
-
-
 def dbar_solve(F, y0, y1):
     """Particular solution of (d/dy0 + i d/dy1) r = F via the Cauchy kernel.
 
     The source, of shape (..., len(y0), len(y1)) with any stacked leading
-    axes, is zero-padded by the FFT length to ``DBAR_PAD`` times its extent
-    and convolved with the cell-averaged kernel 1/(2 pi (y0 + i y1)), built
-    once per call on the corner lattice of the padded grid.
+    axes, is convolved with the cell-averaged kernel 1/(2 pi (y0 + i y1)).
+    Only kernel lags in (-n, n) reach the output window, so each axis is
+    zero-padded to the fast FFT length ``next_fast_len(2 n)`` and the kernel
+    is built once per call on the corner lattice of that padded grid.
     """
     F = np.asarray(F, dtype=complex)
     n0, n1 = F.shape[-2:]
     h0 = y0[1] - y0[0]
     h1 = y1[1] - y1[0]
-    N0, N1 = DBAR_PAD * n0, DBAR_PAD * n1
+    N0, N1 = next_fast_len(2 * n0), next_fast_len(2 * n1)
     a0 = (np.arange(N0) - N0 // 2) * h0
     a1 = (np.arange(N1) - N1 // 2) * h1
     Gam = np.fft.ifftshift(_cell_averaged_cauchy(a0, a1, h0, h1))
@@ -618,8 +616,9 @@ class TubeBeam:
         weights for all of them; 0 off the grid."""
         i, wx = _linear_weights(self.amp.x0, x0)
         j, wy = _linear_weights(self.amp.y1, self.t)
-        return [sum(wx[a] * wy[b] * g[i + a, j + b]
-                    for a in (0, 1) for b in (0, 1)) for g in grids]
+        corners = [(i + a, j + b, wx[a] * wy[b])
+                   for a in (0, 1) for b in (0, 1)]
+        return [sum(w * g[ia, jb] for ia, jb, w in corners) for g in grids]
 
     def value(self, x0, rho, sign):
         """e^{i sigma x0} V^{+/-}, sigma = Im rho (the growth factor is
@@ -817,26 +816,27 @@ def _collar(chart, r):
                                               0.0, None)))
 
 
-def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1):
-    """Complete the beam to an exponential solution on a flat chart.
+def assemble_cgo(path, phase, amp, lam, sigma, grid, signs=(+1, -1)):
+    """Complete the beam to exponential solutions on a flat chart, one per
+    entry of ``signs`` (+1 for the +lambda beam, -1 for the -lambda one).
 
-    One pass maps the grid to tube coordinates; over the tube the beam Q is
-    gridded with its axis taper, and the analytic defect, cut to a smooth
-    collar just outside the chart (a compact extension of its restriction to
-    the manifold), is handed to the cylinder right inverse for the
-    remainder R.  Returns the ``CgoSolution`` of U = Q + R.
+    One pass maps the grid to tube coordinates and samples the beam on the
+    tube points and on the collar points, for every sign at once; per sign
+    the beam Q is gridded with its axis taper, and the analytic defect, cut
+    to a smooth collar just outside the chart (a compact extension of its
+    restriction to the manifold), is handed to the cylinder right inverse
+    for the remainder R.  Returns one ``CgoSolution`` of U = Q + R per sign.
     """
     chart = path.chart
     if not chart.metric.is_flat:
         raise UnsupportedOrder("assembly is implemented for flat charts")
     rho = complex(lam, sigma)
-    mesh = grid.mesh()
-    XP = np.stack(mesh[1:], axis=-1)
+    XP = np.stack(np.meshgrid(*grid.trans_axes, indexing="ij"), axis=-1)
     # flat chart: tube coordinates along the line through gamma(0)
-    diff = XP[0] - path.point(0.0)
+    diff = XP - path.point(0.0)
     t = diff @ path.velocity(0.0)
     ypp = diff @ path.frame_at(0.0)
-    r = np.sqrt(np.sum(XP[0] ** 2, axis=-1))
+    r = np.sqrt(np.sum(XP ** 2, axis=-1))
     collar = _collar(chart, r)
     tube = (np.abs(t) <= phase.y1[-1] - 1e-9) \
         & (np.sum(ypp ** 2, axis=-1) <= amp.delta ** 2)
@@ -844,19 +844,23 @@ def assemble_cgo(path, phase, amp, lam, sigma, grid, sign=+1):
     idx = np.where(tube & (collar > 0))
     x0 = grid.x0[:, None]
     all_x0 = (slice(None),)
-    Q = np.zeros(grid.shape, dtype=complex)
-    source = np.zeros(grid.shape, dtype=complex)
-    Q[all_x0 + iq] = (TubeBeam(phase, amp, t[iq], ypp[iq]).value(x0, rho, sign)
-                      * _axis_taper(path, phase, t[iq]))
-    source[all_x0 + idx] = (-TubeBeam(phase, amp, t[idx], ypp[idx])
-                            .defect(x0, rho, sign) * collar[idx])
-    lam_signed = lam if sign > 0 else -lam
-    R, report = conjugated_solve(source, grid, lam_signed)
-    U = Q + R
-    res = apply_conjugated(U, grid, lam_signed)
+    beam = TubeBeam(phase, amp, t[iq], ypp[iq])
+    taper = _axis_taper(path, phase, t[iq])
+    collar_beam = TubeBeam(phase, amp, t[idx], ypp[idx])
     sel = grid.physical_mask()[:, None, None] & (r <= chart.radius)[None]
     sel[:3] = sel[-3:] = False
-    num = np.linalg.norm(res[sel])
-    den = np.linalg.norm(U[sel]) * abs(rho) ** 2
-    return CgoSolution(field=U, remainder=R, grid=grid, report=report,
-                       pde_residual=float(num / max(den, 1e-300)))
+    out = []
+    for sign in signs:
+        Q = np.zeros(grid.shape, dtype=complex)
+        source = np.zeros(grid.shape, dtype=complex)
+        Q[all_x0 + iq] = beam.value(x0, rho, sign) * taper
+        source[all_x0 + idx] = (-collar_beam.defect(x0, rho, sign)
+                                * collar[idx])
+        lam_signed = lam if sign > 0 else -lam
+        R, report = conjugated_solve(source, grid, lam_signed)
+        U = Q + R
+        num = np.linalg.norm(apply_conjugated(U, grid, lam_signed)[sel])
+        den = np.linalg.norm(U[sel]) * abs(rho) ** 2
+        out.append(CgoSolution(field=U, remainder=R, grid=grid, report=report,
+                               pde_residual=float(num / max(den, 1e-300))))
+    return tuple(out)

@@ -55,9 +55,6 @@ class CylinderGrid:
     def shape(self):
         return (len(self.x0),) + tuple(len(a) for a in self.trans_axes)
 
-    def trans_mesh(self):
-        return np.meshgrid(*self.trans_axes, indexing="ij")
-
     def mesh(self):
         return np.meshgrid(self.x0, *self.trans_axes, indexing="ij")
 
@@ -138,26 +135,28 @@ def s_a_apply(h, dx, a):
     ``h`` holds line samples along axis 0 and ``a`` broadcasts against
     ``h.shape[1:]``, one symbol parameter per line.  The lines are
     transformed as rows (contiguous when ``h`` is the transpose of a row
-    block), zero-padded by the FFT length, and multiplied in place by one
-    transfer per line.  For kernels that die out inside the padding the
-    transfer is the inverse symbol 1/(i xi + a).  Slowly decaying kernels
-    (|a| small, e.g. near-resonant modes) would wrap under periodization, so
-    their transfer is the transform of exact cell integrals of the one-sided
-    exponential kernel, a linear convolution that reproduces the decaying
-    line solution on the window regardless of |a|.  The result has the
-    layout of ``h``.
+    block), zero-padded by the FFT length, and multiplied in place by their
+    transfer, built once per distinct parameter (the torus modes are
+    degenerate, so many lines share one) and gathered per line.  For kernels
+    that die out inside the padding the transfer is the inverse symbol
+    1/(i xi + a).  Slowly decaying kernels (|a| small, e.g. near-resonant
+    modes) would wrap under periodization, so their transfer is the
+    transform of exact cell integrals of the one-sided exponential kernel, a
+    linear convolution that reproduces the decaying line solution on the
+    window regardless of |a|.  The result has the layout of ``h``.
     """
     h = np.asarray(h, dtype=complex)
     a = np.broadcast_to(a, h.shape[1:])
     if np.any(a == 0):
         raise ZeroSymbol("symbol parameter must be nonzero")
+    a, line = np.unique(a, return_inverse=True)
     n = h.shape[0]
     npad = S_A_PAD * n
     # the kernel support (npad - n cells) and the signal (n cells) fit in the
     # pad, so the circular product realizes the non-circular convolution
     buf = np.fft.fft(np.moveaxis(h, 0, -1), npad)
     xi = 2.0 * np.pi * np.fft.fftfreq(npad, dx)
-    transfer = 1j * xi + a[..., None]
+    transfer = 1j * xi + a[:, None]
     np.divide(1.0, transfer, out=transfer)
     # u(x) = int_0^inf e^{-a s} h(x - s) ds for Re a >= 0 and
     # u(x) = -int_0^inf e^{a s} h(x + s) ds otherwise: cell integrals of the
@@ -172,7 +171,7 @@ def s_a_apply(h, dx, a):
                      - np.exp(-b * (m * dx + dx / 2))) / (b * dx)
     np.put_along_axis(ker, (sign * m) % npad, sign * cells, axis=-1)
     transfer[conv] = np.fft.fft(ker) * dx
-    buf *= transfer
+    buf *= transfer[line]
     return np.moveaxis(np.fft.ifft(buf, out=buf)[..., :n], -1, 0)
 
 
@@ -226,30 +225,42 @@ def _free_solve(Fw, grid, lam, basis, keep=None):
     return R, keep, lost
 
 
-def _fd_dx0(u, dx, order=1):
-    """Sixth-order centered x0 derivatives (valid away from the ends)."""
-    out = np.zeros_like(u)
+def _fd_weights(dx, order):
+    """Sixth-order centered x0 difference weights on seven nodes."""
     if order == 1:
-        c = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60.0 * dx)
-    else:
-        c = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / (180.0 * dx ** 2)
+        return np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60.0 * dx)
+    return (np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0])
+            / (180.0 * dx ** 2))
+
+
+def _add_x0_stencil(out, u, c):
+    """Add the seven-point x0 stencil ``c`` of ``u`` to ``out`` away from
+    the three end nodes on each side; returns ``out``."""
     for k, ck in enumerate(c):
         if ck != 0.0:
             out[3:-3] += ck * u[k:len(u) - 6 + k]
     return out
 
 
+def _fd_dx0(u, dx, order=1):
+    """Sixth-order centered x0 derivatives (valid away from the ends)."""
+    return _add_x0_stencil(np.zeros_like(u), u, _fd_weights(dx, order))
+
+
 def apply_conjugated(R, grid, lam, V1_field=None):
     """Apply the conjugated operator with FD in x0 and spectral transversal
-    derivatives; independent of the per-mode construction path."""
+    derivatives; independent of the per-mode construction path.
+
+    The x0 part ``-(d^2/dx0^2 + 2 lam d/dx0)`` is one seven-point stencil
+    with combined weights (0 at the three end nodes on each side)."""
     taxes = tuple(range(1, R.ndim))
     basis = EigenBasis(grid)
-    lap_t = np.fft.ifftn(-basis.mu[None] * np.fft.fftn(R, axes=taxes), axes=taxes)
-    d1 = _fd_dx0(R, grid.dx0, 1)
-    d2 = _fd_dx0(R, grid.dx0, 2)
-    out = -(d2 + 2.0 * lam * d1 + lam ** 2 * R) - lap_t
+    out = np.fft.ifftn(basis.mu[None] * np.fft.fftn(R, axes=taxes), axes=taxes)
+    out -= lam ** 2 * R
+    c = -(_fd_weights(grid.dx0, 2) + 2.0 * lam * _fd_weights(grid.dx0, 1))
+    _add_x0_stencil(out, R, c)
     if V1_field is not None:
-        out = out + V1_field * R
+        out += V1_field * R
     return out
 
 

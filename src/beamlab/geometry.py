@@ -23,8 +23,7 @@ from .errors import (ConfigInvalid, DegenerateBasis, NonUnitSpeed,
 __all__ = [
     "ConformalMetric", "CtaChart", "GeodesicPath", "FermiChart",
     "make_chart", "chart_from_config", "trace_geodesic", "parallel_frame",
-    "conformal_reduce", "product_laplacian", "rk4_step", "stage_times",
-    "linear_sweep",
+    "rk4_step", "stage_times", "linear_sweep",
 ]
 
 
@@ -582,94 +581,3 @@ class FermiChart:
         if not (path.tau_minus_ext - 1e-9 <= y1 <= path.tau_plus_ext + 1e-9):
             raise OutsideTube("axis coordinate outside the traced range")
         return float(y1), np.asarray(ypp)
-
-
-# ---------------------------------------------------------------------------
-# conformal reduction
-# ---------------------------------------------------------------------------
-
-def product_laplacian(fn, chart, x0, xp, step=1e-2):
-    """Laplace-Beltrami of ``fn(x0, x')`` w.r.t. (dx0)^2 + g(x'), pointwise.
-
-    Fourth-order centered differences on the closed-form callable; for the
-    conformally flat transversal factor
-    ``Delta_g = e^{-2 phi} (Delta_flat + (d-2) grad phi . grad)``.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    d = chart.metric.dim
-
-    def d2(axis_eval):
-        f2m, f1m, f0, f1p, f2p = axis_eval
-        return (-f2p + 16 * f1p - 30 * f0 + 16 * f1m - f2m) / (12 * step ** 2)
-
-    def d1(axis_eval):
-        f2m, f1m, _, f1p, f2p = axis_eval
-        return (-f2p + 8 * f1p - 8 * f1m + f2m) / (12 * step)
-
-    def stencil_x0():
-        return [fn(x0 - 2 * step, xp), fn(x0 - step, xp), fn(x0, xp),
-                fn(x0 + step, xp), fn(x0 + 2 * step, xp)]
-
-    def stencil_xp(j):
-        e = np.zeros(d)
-        e[j] = 1.0
-        return [fn(x0, xp - 2 * step * e), fn(x0, xp - step * e), fn(x0, xp),
-                fn(x0, xp + step * e), fn(x0, xp + 2 * step * e)]
-
-    lap = d2(stencil_x0())
-    grad = np.zeros(np.shape(x0) + (d,), dtype=complex)
-    flat = np.zeros_like(lap, dtype=complex)
-    for j in range(d):
-        s = stencil_xp(j)
-        flat = flat + d2(s)
-        grad[..., j] = d1(s)
-    phi = chart.metric.phi(xp)
-    dphi = chart.metric.grad_phi(xp)
-    trans = np.exp(-2.0 * phi) * (flat + (d - 2)
-                                  * np.einsum("...j,...j->...", dphi, grad))
-    return lap + np.real_if_close(trans) if np.isrealobj(lap) else lap + trans
-
-
-def conformal_reduce(series, c, chart, inverse=False):
-    """Rescale a coefficient series so the conformal factor becomes 1.
-
-    Given the factor ``c`` of the full metric, returns the series of the
-    reduced problem on the product metric: with ``beta = (n-2)/4``,
-    ``V_k -> c^{(n+2-k(n-2))/4} V_k`` plus a zeroth-order correction on the
-    k = 1 coefficient.  The correction has two equivalent forms,
-    ``+ c^{-beta} Delta_target(c^{beta})`` and
-    ``- c^{beta+1} Delta_orig(c^{-beta})``; only one side of each reduction
-    carries the product metric, so the forward direction uses the first form
-    and ``inverse=True`` (factor 1/c, mapping a product-metric problem back
-    under c) uses the second.  With this choice, reduction with ``c``
-    followed by reduction with ``1/c`` is the identity.
-    """
-    from .potentials import PotentialSeries
-
-    n = chart.n
-    beta = (n - 2) / 4.0
-
-    if inverse:
-        cf = lambda x0, xp: 1.0 / c(x0, xp)
-    else:
-        cf = c
-
-    def scaled(k, fn):
-        expo = (n + 2 - k * (n - 2)) / 4.0
-        return lambda x0, xp, fn=fn, expo=expo: cf(x0, xp) ** expo * fn(x0, xp)
-
-    def correction(x0, xp):
-        if inverse:
-            cmbeta = lambda a, b: cf(a, b) ** (-beta)
-            return -cf(x0, xp) ** (beta + 1.0) * product_laplacian(
-                cmbeta, chart, x0, xp)
-        cbeta = lambda a, b: cf(a, b) ** beta
-        return cf(x0, xp) ** (-beta) * product_laplacian(cbeta, chart, x0, xp)
-
-    coeffs = {}
-    for k, fn in series.coeffs.items():
-        coeffs[k] = scaled(k, fn)
-    base1 = coeffs.get(1, lambda x0, xp: np.zeros(np.broadcast(x0, xp[..., 0]).shape))
-    coeffs[1] = lambda x0, xp, base=base1: base(x0, xp) + correction(x0, xp)
-    return PotentialSeries(coeffs, kmax=max(series.kmax, 1))

@@ -105,16 +105,16 @@ class BeamBundle:
 
     def cgo_pair(self, eps, N, delta, lam, sigma, grid):
         """The +lambda and -lambda solutions of ``beam(eps, N, delta,
-        n_amp=1)`` completed on a cylinder grid, memoized."""
+        n_amp=1)`` completed on a cylinder grid in one ``assemble_cgo``
+        call, memoized."""
         # keyed on id(grid): the entry keeps the grid alive, so its identity
         # cannot pass to a new object while the entry exists
         key = (round(float(eps), 14), N, delta, float(lam), float(sigma),
                id(grid))
         if key not in self._cgo:
             _, phase, amp = self.beam(eps, N, delta, n_amp=1)
-            self._cgo[key] = (grid, tuple(
-                assemble_cgo(self.path, phase, amp, lam, sigma, grid, sign=s)
-                for s in (+1, -1)))
+            self._cgo[key] = (grid, assemble_cgo(self.path, phase, amp, lam,
+                                                 sigma, grid))
         return self._cgo[key][1]
 
 

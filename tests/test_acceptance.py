@@ -298,15 +298,21 @@ def test_criterion_9b_defect_slopes(beam_setup):
     assert report("9b", ok, "; ".join(details))
 
 
-def _remainder_ladder(beam_setup, lams):
+REMAINDER_LAMS = [20.0, 40.0, 80.0]
+
+
+@pytest.fixture(scope="module")
+def remainder_ladder(beam_setup):
+    """Remainder and source norms of the +lambda solution on the 9c ladder,
+    built once for both 9c tests."""
     ch, path, K, Y = beam_setup
     phase = build_phase(path, Y, N=2, ny1=401)
     amp = build_amplitude(path, phase, Y, N_amp=1)
     Rn, src = [], []
-    for lam in lams:
+    for lam in REMAINDER_LAMS:
         nt = max(128, int(np.ceil(6 * lam * 3.0 / (2 * np.pi) / 32) * 32))
         grid = make_cylinder_grid(ch, nx0=96, ntrans=nt)
-        sol = assemble_cgo(path, phase, amp, lam, 1.0, grid, sign=+1)
+        (sol,) = assemble_cgo(path, phase, amp, lam, 1.0, grid, signs=(+1,))
         cell = grid.dx0 * np.prod([ax[1] - ax[0] for ax in grid.trans_axes])
         Rn.append(np.linalg.norm(sol.remainder[grid.physical_mask()])
                   * np.sqrt(cell))
@@ -320,9 +326,9 @@ def _remainder_ladder(beam_setup, lams):
     "transversal modes whose solver gain has not reached its asymptotic "
     "lambda^-1 slope on affordable ladders; the per-rung bound form of the "
     "same mechanism passes (test_criterion_9c_remainder_bound)"))
-def test_criterion_9c_remainder_slope(beam_setup):
-    lams = [20.0, 40.0, 80.0]
-    Rn, src = _remainder_ladder(beam_setup, lams)
+def test_criterion_9c_remainder_slope(remainder_ladder):
+    lams = REMAINDER_LAMS
+    Rn, src = remainder_ladder
     r_slope = np.polyfit(np.log(lams), np.log(Rn), 1)[0]
     s_slope = np.polyfit(np.log(lams), np.log(src), 1)[0]
     ok = r_slope <= s_slope - 1.0 + 0.2
@@ -330,10 +336,10 @@ def test_criterion_9c_remainder_slope(beam_setup):
                             f"<= {s_slope - 1.0 + 0.2:+.2f}")
 
 
-def test_criterion_9c_remainder_bound(beam_setup):
+def test_criterion_9c_remainder_bound(remainder_ladder):
     # per-rung form of the lambda^-1 gain: ||R|| <= (C/lambda) ||source||
-    lams = [20.0, 40.0, 80.0]
-    Rn, src = _remainder_ladder(beam_setup, lams)
+    lams = REMAINDER_LAMS
+    Rn, src = remainder_ladder
     gains = np.asarray(Rn) / np.asarray(src) * np.asarray(lams)
     ok = np.max(gains) <= 1.0
     assert report("9c'", ok, "per-rung gain lambda*||R||/||src|| = "

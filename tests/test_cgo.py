@@ -181,6 +181,24 @@ class TestDbar:
         for idx in np.ndindex(2, 2):
             assert np.array_equal(r[idx], dbar_solve(F[idx], y0, y1))
 
+    def test_matches_pad4_circular_convolution(self):
+        # reference: the convolution on a grid padded to 4 n per axis, whose
+        # circular wrap cannot reach the output window either; n1 = 321
+        # gives the padded length 1284 = 4 * 3 * 107 of the boundary route
+        y0 = np.linspace(-1.0, 1.0, 24)
+        y1 = np.linspace(-1.6, 1.6, 321)
+        Y0, Y1 = np.meshgrid(y0, y1, indexing="ij")
+        F = np.exp(-(Y0 - 0.2) ** 2 / 0.2 - Y1 ** 2 / 0.5) * (1.0 + 0.4j)
+        h0, h1 = y0[1] - y0[0], y1[1] - y1[0]
+        N0, N1 = 4 * 24, 4 * 321
+        gam = np.fft.ifftshift(_cell_averaged_cauchy(
+            (np.arange(N0) - N0 // 2) * h0, (np.arange(N1) - N1 // 2) * h1,
+            h0, h1))
+        ref = (np.fft.ifft2(np.fft.fft2(F, s=(N0, N1)) * np.fft.fft2(gam))
+               * h0 * h1)[:24, :321]
+        r = dbar_solve(F, y0, y1)
+        assert np.max(np.abs(r - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_cell_kernel_matches_rotated_branch(self):
         # reference: each cell's primitive P(z) = z log(z/u) - z on the
         # principal branch rotated by u, the unit vector to the cell center,
@@ -372,6 +390,18 @@ class TestRates:
                                        expect, rtol=1e-13)
 
 
+@pytest.fixture(scope="module")
+def small_assembly():
+    ch = make_chart("flat_disk", n=3, params={"tube_radius": 1.0,
+                                              "margin": 0.3})
+    p = trace_geodesic(ch, [0.0, 0.0], [1.0, 0.0])
+    K = curvature_along(p)
+    Y = solve_jacobi(K, 0.0, [[1.0]], [[1j]], require_admissible=True)
+    ph = build_phase(p, Y, N=2, ny1=201)
+    amp = build_amplitude(p, ph, Y, N_amp=1)
+    return p, ph, amp, make_cylinder_grid(ch, nx0=24, ntrans=48)
+
+
 class TestAssembly:
     def test_remainder_and_pde_residual(self):
         # generous trace margin so the axis taper stays spectrally gentle
@@ -383,7 +413,7 @@ class TestAssembly:
         ph = build_phase(p, Y, N=2, ny1=401)
         amp = build_amplitude(p, ph, Y, N_amp=1)
         grid = make_cylinder_grid(ch, nx0=96, ntrans=192)
-        sol = assemble_cgo(p, ph, amp, 40.0, 1.0, grid, sign=+1)
+        (sol,) = assemble_cgo(p, ph, amp, 40.0, 1.0, grid, signs=(+1,))
         assert sol.report.residual_l2 <= 1e-3
         assert sol.pde_residual <= 2e-3
         # remainder much smaller than the beam on the physical window
@@ -405,21 +435,14 @@ class TestAssembly:
         x0_off = np.array([0.5, 0.5, grid.x0[-1] + 0.5 * grid.dx0])
         np.testing.assert_array_equal(sol(x0_off, off), 0.0)
 
-    def test_batched_nodes_match_per_node_loop(self, monkeypatch):
+    def test_batched_nodes_match_per_node_loop(self, small_assembly,
+                                               monkeypatch):
         # reference: the beam and its defect evaluated at one x0 node at a
         # time on the tube points, walking the grid's nodes itself
         import beamlab.cgo as cgo
 
-        ch = make_chart("flat_disk", n=3, params={"tube_radius": 1.0,
-                                                  "margin": 0.3})
-        p = trace_geodesic(ch, [0.0, 0.0], [1.0, 0.0])
-        K = curvature_along(p)
-        Y = solve_jacobi(K, 0.0, [[1.0]], [[1j]], require_admissible=True)
-        ph = build_phase(p, Y, N=2, ny1=201)
-        amp = build_amplitude(p, ph, Y, N_amp=1)
-        grid = make_cylinder_grid(ch, nx0=24, ntrans=48)
-        batched = [assemble_cgo(p, ph, amp, 20.0, 1.0, grid, sign=s)
-                   for s in (+1, -1)]
+        p, ph, amp, grid = small_assembly
+        batched = assemble_cgo(p, ph, amp, 20.0, 1.0, grid)
 
         def per_node(method):
             def loop(beam, x0, rho, sign):
@@ -430,12 +453,26 @@ class TestAssembly:
         for name in ("value", "defect"):
             monkeypatch.setattr(cgo.TubeBeam, name,
                                 per_node(getattr(cgo.TubeBeam, name)))
-        for s, new in zip((+1, -1), batched):
-            ref = assemble_cgo(p, ph, amp, 20.0, 1.0, grid, sign=s)
+        refs = assemble_cgo(p, ph, amp, 20.0, 1.0, grid)
+        for new, ref in zip(batched, refs):
             for a, b in ((new.field, ref.field),
                          (new.remainder, ref.remainder)):
                 assert np.max(np.abs(b)) > 0
                 assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    def test_pair_matches_single_sign_calls(self, small_assembly):
+        # the shared tube map and samplers change no bit of either solution
+        p, ph, amp, grid = small_assembly
+        pair = assemble_cgo(p, ph, amp, 20.0, 1.0, grid, signs=(+1, -1))
+        assert len(pair) == 2
+        for s, sol in zip((+1, -1), pair):
+            (ref,) = assemble_cgo(p, ph, amp, 20.0, 1.0, grid, signs=(s,))
+            assert np.array_equal(sol.field, ref.field)
+            assert np.array_equal(sol.remainder, ref.remainder)
+            assert sol.report == ref.report
+            assert sol.pde_residual == ref.pde_residual
+        # the two signs are different solutions
+        assert not np.array_equal(pair[0].field, pair[1].field)
 
     def test_curved_assembly_rejected(self):
         ch = make_chart("sphere_cap", n=3, params={"cap_radius": 1.1})

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from beamlab.cylinder import (S_A_PAD, EigenBasis, conjugated_solve,
-                              make_cylinder_grid, s_a_apply, sobolev_norm)
+from beamlab.cylinder import (S_A_PAD, EigenBasis, _fd_dx0, apply_conjugated,
+                              conjugated_solve, make_cylinder_grid, s_a_apply,
+                              sobolev_norm)
 from beamlab.errors import NeumannDivergence, ResonantLambda, ZeroSymbol
 from beamlab.geometry import make_chart
 
@@ -43,6 +44,19 @@ class TestSA:
             s_a_apply(h[:, 0, 0], self.dx, 5.0), rtol=0, atol=1e-14)
         with pytest.raises(ZeroSymbol):
             s_a_apply(h, self.dx, np.where(a == 40.0, 0.0, a))
+
+    def test_shared_transfers_match_per_line_calls(self):
+        # repeated, negated and near-zero parameters (both transfer
+        # branches): one transfer per distinct parameter, gathered per line,
+        # gives every line to the last bit of its own call
+        a = np.array([5.0, -5.0, 5.0, 0.01, -0.01, 0.01, 40.0, 5.0,
+                      0.3 + 2.0j, 0.3 + 2.0j, -0.01, 40.0])
+        rng = np.random.default_rng(7)
+        h = self.h[:, None] * (rng.standard_normal(a.shape)
+                               + 1j * rng.standard_normal(a.shape))
+        out = s_a_apply(h, self.dx, a)
+        for j in range(a.size):
+            assert np.array_equal(out[:, j], s_a_apply(h[:, j], self.dx, a[j]))
 
     def test_single_mode_gain(self):
         # a pure oscillation is scaled by 1/|i xi0 + a|
@@ -109,7 +123,7 @@ class TestSA:
 class TestEigenBasis:
     def test_orthonormality(self, grid3):
         basis = EigenBasis(grid3)
-        mesh = np.stack(grid3.trans_mesh(), axis=-1)
+        mesh = np.stack(np.meshgrid(*grid3.trans_axes, indexing="ij"), axis=-1)
         cell = np.prod([ax[1] - ax[0] for ax in grid3.trans_axes])
         pairs = [((0, 0), (0, 0)), ((3, 0), (3, 0)), ((3, 0), (0, 2)),
                  ((5, 1), (5, 1)), ((5, 1), (4, 1))]
@@ -205,6 +219,21 @@ class TestConjugatedSolve:
         assert np.polyfit(np.log(lams), np.log(r0), 1)[0] == pytest.approx(-1.0, abs=0.15)
         assert np.polyfit(np.log(lams), np.log(r1), 1)[0] == pytest.approx(-1.0, abs=0.2)
         assert np.polyfit(np.log(lams), np.log(r2), 1)[0] == pytest.approx(-1.0, abs=0.2)
+
+    def test_apply_conjugated_matches_separate_derivatives(self, grid3):
+        # the combined seven-point x0 stencil against -(d2 + 2 lam d1 +
+        # lam^2) R from two separate difference passes, with a potential
+        rng = np.random.default_rng(11)
+        R = rng.standard_normal(grid3.shape) + 1j * rng.standard_normal(grid3.shape)
+        V1 = rng.standard_normal(grid3.shape)
+        lam = 23.0
+        taxes = (1, 2)
+        mu = EigenBasis(grid3).mu
+        lap_t = np.fft.ifftn(-mu[None] * np.fft.fftn(R, axes=taxes), axes=taxes)
+        ref = (-(_fd_dx0(R, grid3.dx0, 2) + 2.0 * lam * _fd_dx0(R, grid3.dx0, 1)
+                 + lam ** 2 * R) - lap_t + V1 * R)
+        out = apply_conjugated(R, grid3, lam, V1_field=V1)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_resonance_rejected(self, grid3):
         basis = EigenBasis(grid3)

@@ -4,9 +4,8 @@ from scipy.integrate import solve_ivp
 
 from beamlab import geometry
 from beamlab.errors import NonUnitSpeed, OutsideTube, TrappedGeodesic
-from beamlab.geometry import (FermiChart, _conn, conformal_reduce, make_chart,
-                              parallel_frame, trace_geodesic)
-from beamlab.potentials import PotentialSeries, make_field
+from beamlab.geometry import (FermiChart, _conn, make_chart, parallel_frame,
+                              trace_geodesic)
 
 
 def christoffel(metric, x):
@@ -356,108 +355,3 @@ class TestFermi:
         with pytest.raises(OutsideTube):
             self.fc.inverse(self.fc.forward(
                 np.array(0.0), np.array([self.fc.delta_prime * 2.5]))[0])
-
-
-# ---------------------------------------------------------------------------
-# conformal reduction
-# ---------------------------------------------------------------------------
-
-def fd_full_metric_laplacian(chart, c, psi, x0, xp, h=1e-3):
-    """Independent Laplace-Beltrami oracle for the full metric c((dx0)^2+g)."""
-    n = chart.n
-    d = chart.metric.dim
-
-    def G_entries(a, b):
-        cc = c(a, b)
-        ephi2 = np.exp(2.0 * chart.metric.phi(b))
-        diag = np.array([cc] + [cc * ephi2] * d)
-        return diag
-
-    def flux(a, b, j):
-        diag = G_entries(a, b)
-        sqrtG = np.sqrt(np.prod(diag))
-        # centered first derivative of psi along coordinate j
-        if j == 0:
-            dpsi = (psi(a + h, b) - psi(a - h, b)) / (2 * h)
-        else:
-            e = np.zeros(d)
-            e[j - 1] = 1.0
-            dpsi = (psi(a, b + h * e) - psi(a, b - h * e)) / (2 * h)
-        return sqrtG / diag[j] * dpsi
-
-    diag0 = G_entries(x0, xp)
-    sqrtG0 = np.sqrt(np.prod(diag0))
-    total = 0.0
-    for j in range(n):
-        if j == 0:
-            df = (flux(x0 + h, xp, 0) - flux(x0 - h, xp, 0)) / (2 * h)
-        else:
-            e = np.zeros(d)
-            e[j - 1] = 1.0
-            df = (flux(x0, xp + h * e, j) - flux(x0, xp - h * e, j)) / (2 * h)
-        total += df
-    return total / sqrtG0
-
-
-class TestConformalReduce:
-    def setup_method(self):
-        self.ch = make_chart("flat_disk", n=3)
-        self.V = PotentialSeries({2: make_field("constant", value=2.0)})
-
-    def test_identity_factor(self):
-        c = lambda x0, xp: np.ones(np.broadcast(np.asarray(x0),
-                                                np.asarray(xp)[..., 0]).shape)
-        out = conformal_reduce(self.V, c, self.ch)
-        xp = np.array([0.2, 0.1])
-        assert out.eval_k(2, 0.3, xp) == pytest.approx(2.0, abs=1e-12)
-        assert abs(out.eval_k(1, 0.3, xp)) <= 1e-10
-
-    def test_constant_factor(self):
-        c0 = 1.7
-        c = lambda x0, xp: c0 * np.ones(np.broadcast(np.asarray(x0),
-                                                     np.asarray(xp)[..., 0]).shape)
-        n = self.ch.n
-        out = conformal_reduce(self.V, c, self.ch)
-        xp = np.array([0.2, 0.1])
-        expect = c0 ** ((n + 2) / 4) * c0 ** (-2 * (n - 2) / 4) * 2.0
-        assert out.eval_k(2, 0.3, xp) == pytest.approx(expect, rel=1e-10)
-        assert abs(out.eval_k(1, 0.3, xp)) <= 1e-8
-
-    def test_radial_factor_vs_fd_oracle(self):
-        def c(x0, xp):
-            xp = np.asarray(xp)
-            r2 = np.sum(xp * xp, axis=-1) + (np.asarray(x0) - 0.5) ** 2
-            return 1.0 + 0.2 * np.exp(-r2 / 0.8 ** 2)
-
-        n = self.ch.n
-        beta = (n - 2) / 4.0
-        out = conformal_reduce(self.V, c, self.ch)
-        xp = np.array([0.25, -0.1])
-        x0 = 0.4
-        # k = 2 coefficient is a pointwise rescale
-        assert out.eval_k(2, x0, xp) == pytest.approx(
-            c(x0, xp) ** ((n + 2 - 2 * (n - 2)) / 4) * 2.0, rel=1e-12)
-        # k = 1 correction against the independent full-metric FD Laplacian
-        psi = lambda a, b: c(a, b) ** (-beta)
-        oracle = -c(x0, xp) ** (beta + 1.0) * fd_full_metric_laplacian(
-            self.ch, c, psi, x0, xp)
-        assert out.eval_k(1, x0, xp) == pytest.approx(oracle, abs=5e-5)
-
-    def test_round_trip(self):
-        def c(x0, xp):
-            xp = np.asarray(xp)
-            r2 = np.sum(xp * xp, axis=-1) + (np.asarray(x0) - 0.5) ** 2
-            return 1.0 + 0.2 * np.exp(-r2 / 0.8 ** 2)
-
-        V = PotentialSeries({
-            1: make_field("gaussian", amp=0.7, center=(0.5, 0.0, 0.0), width=0.9),
-            2: make_field("constant", value=2.0),
-            3: make_field("gaussian", amp=1.1, center=(0.4, 0.1, 0.0), width=0.8),
-        })
-        once = conformal_reduce(V, c, self.ch)
-        back = conformal_reduce(once, c, self.ch, inverse=True)
-        xp = np.array([0.3, 0.2])
-        for k in (1, 2, 3):
-            a = V.eval_k(k, 0.45, xp)
-            b = back.eval_k(k, 0.45, xp)
-            assert abs(a - b) <= 1e-8 * max(1.0, abs(a))

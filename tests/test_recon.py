@@ -356,7 +356,7 @@ class TestBoundaryRoute:
         factors = []
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("sign"))
+            calls.append(kwargs.get("signs", (+1, -1)))
             return assemble_cgo(*args, **kwargs)
 
         def counted_splu(*args, **kwargs):
@@ -380,8 +380,8 @@ class TestBoundaryRoute:
         assert abs(val_f - syn_f) <= tol
         # both routes approach each other under refinement
         assert abs(val_f - syn_f) <= 0.5 * abs(val_c - syn_c)
-        # the +/- lambda pair is completed once for both disk grids
-        assert len(calls) == 2
+        # the +/- lambda pair is completed in one call for both disk grids
+        assert calls == [(+1, -1)]
 
     def test_grid_budget_guard(self):
         from beamlab.errors import ModeMismatch
