@@ -58,6 +58,10 @@ class YJet:
         self._spl = None          # built on first evaluation; coefficients
                                   # are mutated only during construction
 
+    def _spline(self, t):
+        """One cubic spline over ``t`` through every coefficient."""
+        return CubicSpline(t, np.stack(list(self.coeffs.values()), axis=-1))
+
     def copy(self):
         return YJet(self.m, self.order,
                     {a: np.array(c) for a, c in self.coeffs.items()})
@@ -102,9 +106,9 @@ class YJet:
         return YJet(self.m, self.order, out)
 
     def dy1(self, t):
+        d = self._spline(t).derivative()(t) if self.coeffs else None
         return YJet(self.m, self.order,
-                    {a: CubicSpline(t, c).derivative()(t)
-                     for a, c in self.coeffs.items()})
+                    {a: d[:, i] for i, a in enumerate(self.coeffs)})
 
     def order_part(self, k):
         return YJet(self.m, self.order,
@@ -114,16 +118,18 @@ class YJet:
         """Evaluate at axis positions t and offsets ypp (..., m)."""
         t = np.asarray(t)
         ypp = np.asarray(ypp)
-        if self._spl is None:
-            self._spl = {a: CubicSpline(tgrid, c)
-                         for a, c in self.coeffs.items()}
         out = np.zeros(np.broadcast(t, ypp[..., 0]).shape, dtype=complex)
-        for a, spl in self._spl.items():
+        if not self.coeffs:
+            return out
+        if self._spl is None:
+            self._spl = self._spline(tgrid)
+        vals = self._spl(t)
+        for i, a in enumerate(self.coeffs):
             mono = np.ones_like(out)
             for j, p in enumerate(a):
                 if p:
                     mono = mono * ypp[..., j] ** p
-            out = out + spl(t) * mono
+            out = out + vals[..., i] * mono
         return out
 
 
@@ -257,10 +263,6 @@ class PhaseJet:
         return np.stack([g.eval_at(self.y1, t, ypp)
                          for g in _grads(self.jet, self.y1)], axis=-1)
 
-    def im_quadratic_min(self):
-        imH = (self.H - np.conj(np.swapaxes(self.H, 1, 2))) / 2j
-        return float(np.min(np.linalg.eigvalsh(imH)))
-
 
 def _grads(u, y1):
     """The tube-coordinate gradient of a jet: d/dy1, then each offset."""
@@ -328,16 +330,16 @@ def _coupling_matrix(H, monos_k):
 def _transport_sweep(y1, B, S, i0):
     """RK4 for v' = -B v + S with zero data at node i0.
 
-    ``B`` and ``S`` are sampled at the nodes of the grid ``y1``; their cubic
-    splines are evaluated once at the nodes and half-nodes, the only times
-    RK4 visits.  The affine system runs as the linear one on ``[v; 1]``
-    through ``linear_sweep``, which composes the RK4 step maps.
+    ``B`` and ``S`` are sampled at the nodes of the grid ``y1``; one cubic
+    spline through ``[B | S]`` is evaluated once at the nodes and half-nodes,
+    the only times RK4 visits.  The affine system runs as the linear one on
+    ``[v; 1]`` through ``linear_sweep``, which composes the RK4 step maps.
     """
     tt = stage_times(y1)
     nk = S.shape[1]
     A = np.zeros((len(tt), nk + 1, nk + 1), dtype=complex)
-    A[:, :nk, :nk] = -CubicSpline(y1, B, axis=0)(tt)
-    A[:, :nk, nk] = CubicSpline(y1, S, axis=0)(tt)
+    A[:, :nk] = CubicSpline(y1, np.concatenate([-B, S[..., None]], axis=-1),
+                            axis=0)(tt)
     return linear_sweep(y1, A, np.eye(nk + 1)[nk], i0)[:, :nk]
 
 

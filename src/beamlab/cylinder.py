@@ -235,10 +235,13 @@ def _fd_weights(dx, order):
 
 def _add_x0_stencil(out, u, c):
     """Add the seven-point x0 stencil ``c`` of ``u`` to ``out`` away from
-    the three end nodes on each side; returns ``out``."""
+    the three end nodes on each side; returns ``out``.  Every term is
+    multiplied into one reused buffer."""
+    tmp = None
     for k, ck in enumerate(c):
         if ck != 0.0:
-            out[3:-3] += ck * u[k:len(u) - 6 + k]
+            tmp = np.multiply(ck, u[k:len(u) - 6 + k], out=tmp)
+            out[3:-3] += tmp
     return out
 
 

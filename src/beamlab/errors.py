@@ -91,10 +91,6 @@ class ContractionFailure(BeamlabError):
     """Fixed-point iteration for the semilinear problem diverged."""
 
 
-class SearchFailed(BeamlabError):
-    """No boundary datum in the dictionary gave a usable nonvanishing value."""
-
-
 # -- recon / cli ------------------------------------------------------------
 
 class ModeMismatch(BeamlabError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -294,7 +295,8 @@ class GeodesicPath:
     """Unit-speed maximal geodesic with frame and extension margin.
 
     Samples sit at the nodes ``t = k h`` (the anchor ``t = 0`` is one) and
-    reach at least the margin past ``tau_minus`` and ``tau_plus``.
+    reach at least the margin past ``tau_minus`` and ``tau_plus``; the
+    splines through them are built on first evaluation.
     """
 
     chart: CtaChart
@@ -306,10 +308,9 @@ class GeodesicPath:
     tau_plus: float
     unit_speed_defect: float
 
-    def __post_init__(self):
-        self._xs = CubicSpline(self.t, self.x, axis=0)
-        self._vs = CubicSpline(self.t, self.v, axis=0)
-        self._es = CubicSpline(self.t, self.frame, axis=0)
+    _xs = cached_property(lambda self: CubicSpline(self.t, self.x, axis=0))
+    _vs = cached_property(lambda self: CubicSpline(self.t, self.v, axis=0))
+    _es = cached_property(lambda self: CubicSpline(self.t, self.frame, axis=0))
 
     @property
     def tau_minus_ext(self):
@@ -396,19 +397,47 @@ def _walk(chart, y0, h, margin):
                 if tau[i] is None or (len(ys[i]) - 1) * h < tau[i] + margin]
         if len(keep) < len(live):
             live, y = [live[j] for j in keep], y[keep]
+    return tau, [np.stack(s) for s in ys]
+
+
+def _straight_walk(chart, y0, h, margin):
+    """``_walk`` on a flat chart in closed form, with the same stop rule and
+    returns: the nodes of each state are ``x + (k h) u`` with ``v`` and the
+    frame constant, and the exit time is the root of ``|x + tau u| = R``.
+    """
+    tau, ys = [], []
+    for y in y0:
+        x, u = y[:, 0], y[:, 1]
+        b = x @ u
+        t_exit = float(math.sqrt(b * b - x @ x + chart.radius ** 2) - b)
+        if t_exit > MAX_LENGTH:
+            raise TrappedGeodesic(
+                f"no boundary exit within arc length {MAX_LENGTH}")
+        # the first k with k h >= end, tested on k h as the walk tests it
+        end = t_exit + margin
+        k = math.ceil(end / h)
+        if k * h < end:
+            k += 1
+        elif (k - 1) * h >= end:
+            k -= 1
+        nodes = np.repeat(y[None], k + 1, axis=0)
+        nodes[:, :, 0] = x + h * np.arange(k + 1)[:, None] * u
+        tau.append(t_exit)
+        ys.append(nodes)
     return tau, ys
 
 
 def trace_geodesic(chart, x, theta, h=1e-3, margin=None):
     """Trace the maximal unit-speed geodesic through ``x`` with direction ``theta``.
 
-    Both halves are integrated once, with the parallel frame, as one batch
-    of two on the nodes ``t = k h``: the backward half is the forward walk
-    from ``(x, -theta)``, which is bit for bit the walk with step ``-h``
-    with its velocity negated (the connection is bilinear, and rounding is
-    symmetric under negation).  Each half stops at the first node at least
-    the chart margin past its exit time.  Returns a :class:`GeodesicPath`.
-    Raises ``NonUnitSpeed`` / ``TrappedGeodesic``.
+    Both halves are sampled, with the parallel frame, on the nodes
+    ``t = k h``: in closed form on a flat chart (``_straight_walk``), else
+    integrated once as one RK4 batch of two (``_walk``).  The backward half
+    is the forward one from ``(x, -theta)``, which is bit for bit the walk
+    with step ``-h`` with its velocity negated (the connection is bilinear,
+    and rounding is symmetric under negation).  Each half stops at the
+    first node at least the chart margin past its exit time.  Returns a
+    :class:`GeodesicPath`.  Raises ``NonUnitSpeed`` / ``TrappedGeodesic``.
     """
     metric = chart.metric
     x = np.asarray(x, dtype=float)
@@ -421,8 +450,9 @@ def trace_geodesic(chart, x, theta, h=1e-3, margin=None):
 
     e = _orthonormal_complement(metric, x, theta)
     y0 = np.stack([np.column_stack([x, s * theta, e]) for s in (1.0, -1.0)])
-    (tau_plus, tau_back), (fwd, bwd) = _walk(chart, y0, h, margin)
-    ys = np.stack(bwd[:0:-1] + fwd)
+    walk = _straight_walk if metric.is_flat else _walk
+    (tau_plus, tau_back), (fwd, bwd) = walk(chart, y0, h, margin)
+    ys = np.concatenate([bwd[:0:-1], fwd])
     ys[:len(bwd) - 1, :, 1] *= -1.0         # the backward half carries -v
     xs, vs, es = (np.ascontiguousarray(a)
                   for a in (ys[..., 0], ys[..., 1], ys[..., 2:]))

@@ -13,6 +13,7 @@ along the whole interval together with the conserved quantity
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 
+# The sampled paths below build their splines on first evaluation.
+
 # ---------------------------------------------------------------------------
 # curvature along the geodesic
 # ---------------------------------------------------------------------------
@@ -40,8 +43,7 @@ class CurvaturePath:
     t: np.ndarray
     K: np.ndarray             # (N, m, m)
 
-    def __post_init__(self):
-        self._spl = CubicSpline(self.t, self.K, axis=0)
+    _spl = cached_property(lambda self: CubicSpline(self.t, self.K, axis=0))
 
     @property
     def m(self):
@@ -85,9 +87,8 @@ class ComplexJacobiField:
     admissible: bool = False
     eps: float | None = None
 
-    def __post_init__(self):
-        self._sy = CubicSpline(self.t, self.Y, axis=0)
-        self._syd = CubicSpline(self.t, self.Yd, axis=0)
+    _sy = cached_property(lambda self: CubicSpline(self.t, self.Y, axis=0))
+    _syd = cached_property(lambda self: CubicSpline(self.t, self.Yd, axis=0))
 
     @property
     def m(self):
@@ -223,8 +224,7 @@ class RiccatiPath:
     H: np.ndarray             # (N, m, m) complex symmetric
     c_cons: np.ndarray        # det(Im H) |det Y|^2 per sample
 
-    def __post_init__(self):
-        self._spl = CubicSpline(self.t, self.H, axis=0)
+    _spl = cached_property(lambda self: CubicSpline(self.t, self.H, axis=0))
 
     def at(self, t):
         return self._spl(t)

@@ -21,14 +21,13 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import (ContractionFailure, DirichletEigenvalue, InvalidArgument,
-                     SearchFailed, SmallDataViolated)
+                     SmallDataViolated)
 
 __all__ = [
     "Axis", "ProductDomain", "SchrodingerSolver", "DNRecord",
-    "box_domain", "disk_cylinder_domain", "interval_domain",
-    "dirichlet_faces", "solve_semilinear", "dn_map", "complex_step_first",
-    "linearize_divided_difference", "direct_hierarchy_solve",
-    "greens_pairing", "nonvanishing_solution",
+    "box_domain", "disk_cylinder_domain", "dirichlet_faces",
+    "solve_semilinear", "dn_map", "linearize_divided_difference",
+    "direct_hierarchy_solve", "greens_pairing",
 ]
 
 
@@ -160,12 +159,6 @@ def box_domain(lengths, shape, metric=None):
                  dirichlet_lo=True, dirichlet_hi=True)
             for i, (L, n) in enumerate(zip(lengths, shape))]
     return ProductDomain(axes, gdiag=metric)
-
-
-def interval_domain(length, n):
-    ax = Axis("x", np.linspace(0.0, length, n), "node",
-              dirichlet_lo=True, dirichlet_hi=True)
-    return ProductDomain([ax])
 
 
 def disk_cylinder_domain(chart, nx0, nr, nphi):
@@ -510,13 +503,6 @@ def solve_semilinear(solver, V, f, r0=0.5):
     return base + u_t, info
 
 
-def complex_step_first(solver, V, f, h=1e-8, r0=0.5):
-    """First derivative of the solution map by an imaginary datum step."""
-    fi = lambda x0, xp: 1j * h * np.asarray(f(x0, xp))
-    u, _ = solve_semilinear(solver, V, fi, r0=r0)
-    return np.imag(u) / h
-
-
 # ---------------------------------------------------------------------------
 # linearization cascade
 # ---------------------------------------------------------------------------
@@ -644,29 +630,3 @@ def greens_pairing(domain, w_full, w_bdata, L_full, rhs):
         boundary += -np.sum(wb * dL * ds)
     volume = complex(np.sum(domain.quad * w_full * rhs))
     return boundary, volume, abs(boundary - volume)
-
-
-def nonvanishing_solution(solver, index, threshold=1e-8):
-    """Homogeneous solution with |W| at grid ``index`` maximal over a small
-    datum dictionary."""
-    def const(x0, xp):
-        return np.ones(np.broadcast(np.asarray(x0),
-                                    np.asarray(xp)[..., 0]).shape)
-
-    def trig(freq, which):
-        def fn(x0, xp):
-            osc = np.cos(freq * np.asarray(x0)) if which == 0 \
-                else np.sin(freq * np.asarray(x0))
-            return (1.0 + 0.3 * osc) * const(x0, xp)
-        return fn
-
-    cands = [const, trig(1.0, 0), trig(1.0, 1), trig(2.0, 0), trig(2.0, 1)]
-    best, best_val = None, 0.0
-    for fn in cands:
-        Wp = solver.solve(bdata=fn)
-        val = abs(Wp[tuple(index)])
-        if val > best_val:
-            best, best_val = Wp, val
-    if best_val < threshold:
-        raise SearchFailed("no dictionary datum achieves a nonvanishing value")
-    return best

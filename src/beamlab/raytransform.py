@@ -265,15 +265,6 @@ def invert_j1_point_split(oracle, eps_grid, f_check=None):
 # moment route (scalar transversal rank)
 # ---------------------------------------------------------------------------
 
-def _binom_half(kmax):
-    # (1 - w)^{-1/2} = sum a_k w^k
-    a = np.empty(kmax + 1)
-    a[0] = 1.0
-    for k in range(1, kmax + 1):
-        a[k] = a[k - 1] * (2 * k - 1) / (2.0 * k)
-    return a
-
-
 # moment route: relative ridges of the density and profile fits, the largest
 # accepted design condition number, density basis size beyond K_max, samples
 DENSITY_RIDGE, PROFILE_RIDGE, MOMENT_COND_CAP = 1e-10, 1e-8, 1e14

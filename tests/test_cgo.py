@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
-from beamlab.cgo import (TubeBeam, _cell_averaged_cauchy,
+from beamlab.cgo import (TubeBeam, YJet, _cell_averaged_cauchy,
                          _transport_sweep, assemble_cgo,
                          build_amplitude, build_phase,
                          conjugated_defect_norm, dbar_solve,
@@ -11,7 +11,8 @@ from beamlab.cgo import (TubeBeam, _cell_averaged_cauchy,
                          quasimode_lp_norm, smooth_cutoff, tube_grid)
 from beamlab.cylinder import make_cylinder_grid
 from beamlab.errors import UnsupportedOrder
-from beamlab.geometry import FermiChart, make_chart, rk4_step, trace_geodesic
+from beamlab.geometry import (FermiChart, linear_sweep, make_chart, rk4_step,
+                              stage_times, trace_geodesic)
 from beamlab.jacobi import curvature_along, riccati_path, solve_jacobi
 from beamlab.potentials import make_field
 
@@ -52,6 +53,36 @@ class TestCutoff:
                 assert np.all(smooth_cutoff([0.2, 0.5, 1.0, 1.3], k) == 0.0)
 
 
+class TestJets:
+    @pytest.mark.parametrize("m,order,ncoef", [(1, 3, 4), (2, 4, 15),
+                                               (2, 2, 1)])
+    def test_one_spline_matches_per_coefficient_splines(self, m, order,
+                                                        ncoef):
+        # oracle: one CubicSpline per monomial coefficient
+        rng = np.random.default_rng(3)
+        tgrid = np.linspace(-1.2, 1.3, 57)
+        keys = [(k,) for k in range(order + 1)] if m == 1 else \
+            [(a - b, b) for a in range(order + 1) for b in range(a + 1)]
+        coeffs = {a: np.cos((i + 1) * tgrid) + 1j * rng.standard_normal(57)
+                  for i, a in enumerate(keys[:ncoef])}
+        jet = YJet(m, order, coeffs)
+        t = rng.uniform(-1.2, 1.3, (7, 5))
+        ypp = rng.uniform(-0.3, 0.3, (7, 5, m))
+        ref = np.zeros(t.shape, dtype=complex)
+        for a, c in coeffs.items():
+            mono = np.ones_like(ref)
+            for j, p in enumerate(a):
+                if p:
+                    mono = mono * ypp[..., j] ** p
+            ref = ref + CubicSpline(tgrid, c)(t) * mono
+        assert np.array_equal(jet.eval_at(tgrid, t, ypp), ref)
+        d1 = jet.dy1(tgrid)
+        assert list(d1.coeffs) == list(coeffs)
+        for a, c in coeffs.items():
+            assert np.array_equal(d1.coeffs[a],
+                                  CubicSpline(tgrid, c).derivative()(tgrid))
+
+
 class TestPhase:
     def test_flat_quadratic_structure(self, flat_beam):
         ch, p, K, Y = flat_beam
@@ -90,15 +121,18 @@ class TestPhase:
         assert slope >= ph.N + 1 - 0.3
 
     def test_gaussian_decay_bound(self, flat_beam):
-        # Im Theta >= c0 |y''|^2 inside the tube
+        # Im Theta >= c0 |y''|^2 inside the tube, c0 the least eigenvalue of
+        # Im H along the axis
         ch, p, K, Y = flat_beam
         ph = build_phase(p, Y, N=2)
-        assert ph.im_quadratic_min() > 0
+        imH = (ph.H - np.conj(np.swapaxes(ph.H, 1, 2))) / 2j
+        c0 = float(np.min(np.linalg.eigvalsh(imH)))
+        assert c0 > 0
         lam = 40.0
         for t0 in (-0.5, 0.2, 0.9):
             for y2 in (0.05, 0.2, 0.4):
                 th = ph.theta(np.array(t0), np.array([y2]))
-                bound = np.exp(-0.5 * lam * ph.im_quadratic_min() * y2 ** 2)
+                bound = np.exp(-0.5 * lam * c0 * y2 ** 2)
                 assert abs(np.exp(1j * lam * th)) <= bound * 1.0000001
 
     def test_unsupported_order(self, flat_beam):
@@ -134,6 +168,19 @@ class TestAmplitude:
             ref[i], = rk4_step(f, y1[i + 1], (ref[i + 1],), y1[i] - y1[i + 1])
         got = _transport_sweep(y1, B, S, 40)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_transport_sweep_one_spline_matches_two(self):
+        # the [B | S] spline against separate splines of B and S
+        y1 = np.linspace(-1.1, 1.4, 101)
+        c = np.cos(2.0 * y1)[:, None, None]
+        B = np.array([[1.0, 0.5j], [0.5j, 2.0]]) * (1.0 + c) + 1j * c
+        S = np.stack([np.exp(-y1 ** 2), np.sin(3.0 * y1) + 1j], axis=1)
+        tt = stage_times(y1)
+        A = np.zeros((len(tt), 3, 3), dtype=complex)
+        A[:, :2, :2] = -CubicSpline(y1, B, axis=0)(tt)
+        A[:, :2, 2] = CubicSpline(y1, S, axis=0)(tt)
+        ref = linear_sweep(y1, A, np.eye(3)[2], 40)[:, :2]
+        assert np.array_equal(_transport_sweep(y1, B, S, 40), ref)
 
     def test_v00_branch(self, flat_beam):
         ch, p, K, Y = flat_beam

@@ -131,11 +131,35 @@ class TestTraceGeodesic:
         p = trace_geodesic(ch, x, th, h=1e-3)
         assert p.unit_speed_defect <= 1e-6
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("x,theta", [
+        ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.3, -0.2, 0.1], [0.6, 0.8, 0.0]),
+        ([0.5, 0.4, -0.3], [-0.2, 0.5, 0.7])])
+    @pytest.mark.parametrize("h", [1e-3, 2e-3])
+    def test_flat_closed_form_matches_walk(self, n, x, theta, h,
+                                           monkeypatch):
+        # reference: the RK4 walk run on the flat chart itself
+        ch = make_chart("flat_disk", n=n)
+        x = np.array(x[:n - 1])
+        theta = np.array(theta[:n - 1]) / np.linalg.norm(theta[:n - 1])
+        got = trace_geodesic(ch, x, theta, h=h)
+        monkeypatch.setattr(geometry, "_straight_walk", geometry._walk)
+        ref = trace_geodesic(ch, x, theta, h=h)
+        assert np.array_equal(got.t, ref.t)
+        assert np.array_equal(got.v, ref.v)
+        assert np.array_equal(got.frame, ref.frame)
+        # the walk sums RK4 increments and bisects its exits to 1e-13
+        assert np.max(np.abs(got.x - ref.x)) <= 1e-13
+        assert abs(got.tau_minus - ref.tau_minus) <= 1e-13
+        assert abs(got.tau_plus - ref.tau_plus) <= 1e-13
+
     @pytest.mark.parametrize("kind,params", [
         ("flat_disk", {}), ("sphere_cap", {"cap_radius": 1.25})])
     def test_integrates_once(self, kind, params, monkeypatch):
-        # both halves walk as one batch: one RK4 step per sample interval of
-        # the longer half, plus at most 60 bisection steps for each exit
+        # a flat chart takes no RK4 step; a curved one walks both halves as
+        # one batch: one RK4 step per sample interval of the longer half,
+        # plus at most 60 bisection steps for each exit
         calls = []
         step = geometry.rk4_step
 
@@ -148,7 +172,11 @@ class TestTraceGeodesic:
         x = np.array([0.2, 0.1])
         th = np.array([1.0, 0.4])
         p = trace_geodesic(ch, x, th / ch.metric.norm(x, th))
-        assert len(calls) <= max(np.sum(p.t > 0), np.sum(p.t < 0)) + 120
+        if ch.metric.is_flat:
+            assert calls == []
+        else:
+            assert 0 < len(calls) <= max(np.sum(p.t > 0),
+                                         np.sum(p.t < 0)) + 120
         # the samples reach at least the margin past each exit
         margin = ch.extension_margin
         assert p.t[0] <= p.tau_minus - margin < p.t[1]

@@ -12,7 +12,16 @@ from beamlab.pde import linearize_divided_difference
 from beamlab.raytransform import (GeodesicSample, TransformCurve,
                                   invert_j1_moments, invert_j1_point_split,
                                   invert_j2_point, j1_forward, j2_forward,
-                                  normalization_integral, _binom_half)
+                                  normalization_integral)
+
+
+def binom_half(kmax):
+    """Coefficients a_k of ``(1 - w)^{-1/2} = sum a_k w^k``, k <= kmax."""
+    a = np.empty(kmax + 1)
+    a[0] = 1.0
+    for k in range(1, kmax + 1):
+        a[k] = a[k - 1] * (2 * k - 1) / (2.0 * k)
+    return a
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +305,7 @@ class TestInvertJ1Moments:
         p, X, Z, orc = self.make_route(lambda t: np.exp(-t * t))
         _, diag = invert_j1_moments(orc, X, Z, (p.tau_minus, p.tau_plus), K_max=8)
         M = np.asarray(diag["moments"])
-        a = _binom_half(8)
+        a = binom_half(8)
         eps = 0.02
         series = sum(a[k] * (1j * eps) ** k * M[k] for k in range(9))
         assert abs(orc(eps) - series) <= 1e-6

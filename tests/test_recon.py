@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import splu
 
-from beamlab import recon
+from beamlab import cgo, geometry, jacobi, recon
 from beamlab.cgo import (PhaseJet, assemble_cgo, build_amplitude,
                          build_phase, quasimode_eval, tube_grid)
 from beamlab.cylinder import make_cylinder_grid
@@ -225,6 +226,23 @@ class TestBeamMemo:
         gc.collect()
         # the entry holds V1, so its id cannot pass to a new object
         assert ref() is not None
+
+    def test_spline_builds_per_beam(self, v3_setup, monkeypatch):
+        # one spline per jet derivative or evaluation, and the path, Jacobi
+        # and Riccati splines only when evaluated
+        builds = []
+
+        class Counted(CubicSpline):
+            def __init__(self, *args, **kw):
+                builds.append(1)
+                super().__init__(*args, **kw)
+
+        task, _ = v3_setup
+        bundle = prepare_bundle(task, anchor="point")
+        for mod in (cgo, geometry, jacobi):
+            monkeypatch.setattr(mod, "CubicSpline", Counted)
+        bundle.beam(0.2, task.N, task.delta)
+        assert len(builds) == 10
 
 
 class TestRecoverVm:
