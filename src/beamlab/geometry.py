@@ -23,7 +23,7 @@ from .errors import (ConfigInvalid, DegenerateBasis, NonUnitSpeed,
 
 __all__ = [
     "ConformalMetric", "CtaChart", "GeodesicPath", "FermiChart",
-    "make_chart", "chart_from_config", "trace_geodesic", "parallel_frame",
+    "make_chart", "chart_from_config", "trace_geodesic",
     "rk4_step", "stage_times", "linear_sweep",
 ]
 
@@ -463,29 +463,6 @@ def trace_geodesic(chart, x, theta, h=1e-3, margin=None):
     return GeodesicPath(chart=chart, t=t, x=xs, v=vs, frame=es,
                         tau_minus=-tau_back, tau_plus=tau_plus,
                         unit_speed_defect=defect)
-
-
-def parallel_frame(path, basis):
-    """Transport a user-supplied orthonormal basis of theta-perp along ``path``.
-
-    ``basis`` has shape (d, m) with columns orthonormal and g-orthogonal to
-    the initial velocity.  Returns samples aligned with ``path.t``.
-    """
-    metric = path.chart.metric
-    basis = np.asarray(basis, dtype=float)
-    x0 = path.point(0.0)
-    v0 = path.velocity(0.0)
-    cols = [basis[:, j] for j in range(basis.shape[1])]
-    gram = np.array([[metric.inner(x0, a, b) for b in cols] for a in cols])
-    if np.linalg.matrix_rank(gram, tol=1e-10) < basis.shape[1]:
-        raise DegenerateBasis("frame vectors are linearly dependent")
-    for c in cols:
-        if abs(metric.inner(x0, c, v0)) > 1e-8:
-            raise DegenerateBasis("frame vector not orthogonal to the velocity")
-
-    # transport is linear: the basis keeps its coordinates in the traced frame
-    e0 = path.frame[int(np.argmin(np.abs(path.t)))]
-    return path.frame @ (np.exp(2.0 * metric.phi(x0)) * e0.T @ basis)
 
 
 # ---------------------------------------------------------------------------

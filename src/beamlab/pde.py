@@ -8,11 +8,16 @@ sparse matrix and factors it once for every solve with the same zeroth-order
 coefficient.  On a disk whose coefficients do not depend on the periodic
 angle, the factorization splits that same matrix into one block per angular
 frequency, so both ways of factoring solve one discretization.
+
+``direct_hierarchy_solve`` is the one multiple-fold linearization cascade,
+plain on one solver or exponentially conjugated on one solver per datum
+(the boundary route's ``(lam, lam, -lam)``).
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -567,48 +572,69 @@ def _set_partitions(items, nblocks):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
+def _partition_sum(Vk, w, slots):
+    """``sum_k V_k sum_{partitions of slots into k blocks} prod w[block]``
+    over the fields ``Vk``; None when no term is present (a zero block,
+    stored as None, drops its terms)."""
+    acc = None
+    for k, field in Vk.items():
+        for part in _set_partitions(slots, k):
+            blocks = [w[frozenset(b)] for b in part]
+            if all(u is not None for u in blocks):
+                term = functools.reduce(np.multiply, blocks, field)
+                acc = term if acc is None else acc + term
+    return acc
+
+
 def direct_hierarchy_solve(solver, V, fs):
     """Top multilinear interaction term and its lower-order companion.
 
     Returns (L, H, w): ``P L = V_m prod_k (G f_k) + H`` with zero trace,
     ``w`` maps frozensets of datum slots to cascade solutions.  For two data
     the companion vanishes identically.
+
+    ``solver`` is one solver or one per datum (one domain and ``V1``).  A set
+    of data is solved at the sum of its solvers' ``lam``, since conjugations
+    multiply: solvers at ``lam_i`` give ``e^{-lam_S x0}`` times the plain
+    cascade on the data ``e^{lam_i x0} f_i``.  A ``-lam`` solver mirrors a
+    ``+lam`` one and any other ``lam`` is built once, on first need.  Slots
+    with one datum object and solver share their solutions; a set with no
+    source (coefficients vanishing on the grid count as absent) is zero.
     """
     m = len(fs)
-    dom = solver.domain
-    x0, xp = dom.points()
-    w = {frozenset([i]): solver.solve(bdata=fk) for i, fk in enumerate(fs)}
-    Vk_fields = {k: np.asarray(V.eval_k(k, x0, xp))
-                 for k in range(2, m + 1) if k in V.coeffs}
+    solvers = list(solver) if isinstance(solver, (list, tuple)) \
+        else [solver] * m
+    base = solvers[0]
+    x0, xp = base.domain.points()
+    Vk = {k: f for k in range(2, m + 1) if k in V.coeffs
+          and np.any(f := np.asarray(V.eval_k(k, x0, xp)))}
+    by_lam = {s.lam: s for s in reversed(solvers)}
 
-    for size in range(2, m + 1):
+    def solve_set(subset):
+        if len(subset) == 1:
+            return solvers[subset[0]].solve(bdata=fs[subset[0]])
+        acc = _partition_sum(Vk, w, subset)
+        lam = sum(solvers[i].lam for i in subset)
+        if acc is not None and lam not in by_lam:
+            by_lam[lam] = (by_lam[-lam].mirror() if -lam in by_lam else
+                           SchrodingerSolver(base.domain, V1_field=base.V1,
+                                             lam=lam))
+        return None if acc is None else by_lam[lam].solve(F=-acc)
+
+    cls = [next(j for j in range(m) if fs[j] is fs[i]
+                and solvers[j] is solvers[i]) for i in range(m)]
+    shared, w = {}, {}
+    for size in range(1, m + 1):
         for subset in itertools.combinations(range(m), size):
-            rhs = np.zeros(dom.shape, dtype=complex)
-            for k in range(2, size + 1):
-                if k not in Vk_fields:
-                    continue
-                acc = np.zeros(dom.shape, dtype=complex)
-                for part in _set_partitions(list(subset), k):
-                    term = np.ones(dom.shape, dtype=complex)
-                    for block in part:
-                        term = term * w[frozenset(block)]
-                    acc += term
-                rhs -= Vk_fields[k] * acc
-            w[frozenset(subset)] = solver.solve(F=rhs)
+            key = tuple(sorted(cls[i] for i in subset))
+            if key not in shared:
+                shared[key] = solve_set(subset)
+            w[frozenset(subset)] = shared[key]
 
-    L = -w[frozenset(range(m))]
-    H = np.zeros(dom.shape, dtype=complex)
-    for k in range(2, m):
-        if k not in Vk_fields:
-            continue
-        acc = np.zeros(dom.shape, dtype=complex)
-        for part in _set_partitions(list(range(m)), k):
-            term = np.ones(dom.shape, dtype=complex)
-            for block in part:
-                term = term * w[frozenset(block)]
-            acc += term
-        H += Vk_fields[k] * acc
-    return L, H, w
+    H = _partition_sum({k: f for k, f in Vk.items() if k < m}, w, range(m))
+    zero = np.zeros(base.domain.shape, dtype=complex)
+    w = {s: zero if u is None else u for s, u in w.items()}
+    return -w[frozenset(range(m))], zero.copy() if H is None else H, w
 
 
 # ---------------------------------------------------------------------------

@@ -140,10 +140,11 @@ def make_field(kind, **kw):
             d2 = np.sum((xp - center[:xp.shape[-1]]) ** 2, axis=-1)
             x0a = np.asarray(x0)
             prof = c0 + c1 * np.cos(freq * x0a) + s1 * np.sin(freq * x0a)
-            out = amp * prof * np.exp(-d2 / width ** 2)
+            # the point-only factor first: one product with the x0 profile
+            trans = np.exp(-d2 / width ** 2)
             if support is not None:
-                out = out * _smooth_bump(np.sqrt(d2) / float(support))
-            return out
+                trans = trans * _smooth_bump(np.sqrt(d2) / float(support))
+            return amp * prof * trans
         return fn
     if kind == "poly_x0":
         coeffs = [complex(c) for c in kw.get("coeffs", [1.0])]

@@ -22,6 +22,7 @@ from .cgo import (TubeBeam, assemble_cgo, build_amplitude, build_phase,
 from .errors import ModeMismatch
 from .geometry import FermiChart, trace_geodesic
 from .jacobi import curvature_along, epsilon_family, real_pair, riccati_path
+from .potentials import make_field
 from .raytransform import _simpson_weights, invert_j1_moments, invert_j2_point
 
 __all__ = [
@@ -375,13 +376,10 @@ def fourier_synthesis(task, xi, data, nx0=97):
     return x0g, vals, coef
 
 
-def recover_vm(task):
-    """Pointwise recovery of the m-th coefficient at the bundle anchor
-    (m >= 3), second-kind route.
-
-    For m > 3 the m - 3 surplus factors of the interaction are the
-    normalizer u = 1, so a series with a V1 term raises ``ModeMismatch``
-    before any beam is built."""
+def _check_order(task):
+    """Raise unless the second-kind interaction of order ``task.m`` exists:
+    m >= 3, and for m > 3 its m - 3 surplus factors are the normalizer
+    u = 1, which solves the linearized equation only when V1 = 0."""
     if task.m < 3:
         raise ModeMismatch("the second-kind route needs m >= 3")
     if task.m > 3 and 1 in task.V.coeffs:
@@ -389,6 +387,13 @@ def recover_vm(task):
             f"m = {task.m} pairs the interaction with the normalizer u = 1, "
             "which solves the linearized equation only when V1 = 0; the "
             "series has a V1 term")
+
+
+def recover_vm(task):
+    """Pointwise recovery of the m-th coefficient at the bundle anchor
+    (m >= 3), second-kind route; ``_check_order`` runs before any beam is
+    built."""
+    _check_order(task)
     bundle = prepare_bundle(task, anchor="point")
     xi = task.xi_grid()
     table = {}
@@ -477,7 +482,7 @@ def recover_v2(task):
 def _check_sampling(name, axis, h, k, lam):
     """Raise unless wavenumber ``k`` is sampled below Nyquist (k h < pi)."""
     if k * h >= math.pi:
-        src = "" if k == lam else " (2 lambda, quadratic source w1*w1)"
+        src = "" if k == lam else " (2 lambda, both +lambda factors)"
         raise ModeMismatch(
             f"lambda {lam:g} aliases on the {name} grid: wavenumber {k:g}"
             f"{src} times {axis} spacing {h:.4g} is {k * h:.3g}; the limit "
@@ -490,64 +495,54 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, grid, nx0=96, nr=32,
 
     Takes the beam pair completed on the cylinder ``grid`` (a
     ``make_cylinder_grid`` grid; the bundle completes each pair once per
-    grid), solves the conjugated linearization cascade on the disk grid,
-    forms the boundary pairing, subtracts the companion term, and scales like
-    the synthetic route.  All fields carry their exponential growth
-    analytically.  Returns ``(value, synthetic)``, the boundary datum and the
+    grid) and runs ``direct_hierarchy_solve`` on the disk grid: data
+    ``[g+, g+, g-]`` on solvers at ``(lam, lam, -lam)``, so every field
+    carries its exponential growth analytically, and for m > 3 the unit
+    datum ``m - 3`` times (at lam = 0), the normalizer of ``recover_vm``,
+    whose order checks it shares.  It pairs the cascade with the ``g-``
+    solution, subtracts the companion term and scales like the synthetic
+    route.  Returns ``(value, synthetic)``, the boundary datum and the
     volume integral of the same discrete beams.
 
-    Raises ``ModeMismatch`` before any beam is built when a field would alias:
-    the highest wavenumber k (lam, or 2 lam with a quadratic coefficient on
-    the disk grid) must satisfy k h < pi with h the torus spacing on the
-    cylinder and the radial spacing on the disk.  Accuracy inside that limit
-    is a matter of refinement.
+    Raises ``ModeMismatch`` before any beam is built when a field would
+    alias: the highest wavenumber k (lam, or 2 lam when a V_k with
+    2 <= k < m is nonzero on the disk grid) must satisfy k h < pi with h the
+    torus spacing on the cylinder and the radial spacing on the disk.
     """
-    from .pde import SchrodingerSolver, disk_cylinder_domain, greens_pairing
+    from .pde import (SchrodingerSolver, direct_hierarchy_solve,
+                      disk_cylinder_domain, greens_pairing)
 
+    _check_order(task)
     chart = task.chart
     if not chart.metric.is_flat:
         raise ModeMismatch("the boundary route is implemented on flat charts")
     dom = disk_cylinder_domain(chart, nx0, nr, nphi)
     x0g, xpg = dom.points()
-    V2f = task.V.eval_k(2, x0g, xpg) if 2 in task.V.coeffs else None
-    if V2f is not None and not np.any(V2f):
-        V2f = None
-    # Nyquist: the beams carry wavenumber lam on both grids; w1 * w1 feeds
-    # the 2 lam conjugated solve on the disk grid
+    # Nyquist: the beams carry wavenumber lam on both grids; a lower-order
+    # source with both +lam factors feeds a 2 lam solve on the disk grid
+    lower = any(np.any(task.V.eval_k(k, x0g, xpg))
+                for k in range(2, task.m) if k in task.V.coeffs)
     _check_sampling("disk", "radial", chart.radius / nr,
-                    lam if V2f is None else 2 * lam, lam)
+                    2 * lam if lower else lam, lam)
     _check_sampling("cylinder", "torus", grid.dtrans, lam, lam)
     d = chart.trans_dim - 1
     gp, gm = bundle.cgo_pair(eps, task.N, task.delta, lam, sigma, grid)
 
     V1f = task.V.eval_k(1, x0g, xpg) if 1 in task.V.coeffs else None
     sol_plus = SchrodingerSolver(dom, V1_field=V1f, lam=+lam)
-    sol_minus = sol_plus.mirror()
-
-    w1 = sol_plus.solve(bdata=gp)            # conjugated first-order solves
-    w3 = sol_minus.solve(bdata=gm)
-    V3f = task.V.eval_k(task.m, x0g, xpg)
-    if V2f is not None:
-        sol_2lam = SchrodingerSolver(dom, V1_field=V1f, lam=2 * lam)
-        sol_zero = SchrodingerSolver(dom, V1_field=V1f, lam=0.0)
-        w12 = sol_2lam.solve(F=-V2f * w1 * w1)
-        w13 = sol_zero.solve(F=-V2f * w1 * w3)
-        H_tilde = V2f * (2.0 * w1 * w13 + w3 * w12)
-        rhs_top = -(V3f * w1 * w1 * w3 + H_tilde)
-    else:
-        rhs_top = -V3f * w1 * w1 * w3
-        H_tilde = np.zeros(dom.shape, dtype=complex)
-    Lt = sol_plus.solve(F=rhs_top)           # L~ = e^{-lam x0} (-w_full)
-    Lt = -Lt
-
-    boundary, companion, _ = greens_pairing(dom, w3, gm, Lt, H_tilde)
+    solvers = [sol_plus, sol_plus, sol_plus.mirror()]
+    data = [gp, gp, gm]
+    if task.m > 3:
+        solvers += [SchrodingerSolver(dom, lam=0.0)] * (task.m - 3)
+        data += [make_field("constant", value=1.0)] * (task.m - 3)
+    L, H, w = direct_hierarchy_solve(solvers, task.V, data)
+    boundary, companion, _ = greens_pairing(dom, w[frozenset([2])], gm, L, H)
     value = lam ** (d / 2.0) * (boundary - companion)
 
     # volume route evaluated with the interpolated beam fields themselves,
     # so the comparison spans the whole discrete chain
-    gpv = gp(x0g, xpg)
-    gmv = gm(x0g, xpg)
-    volume = complex(np.sum(dom.quad * V3f * (gpv * gmv) ** 2))
+    volume = complex(np.sum(dom.quad * task.V.eval_k(task.m, x0g, xpg)
+                            * (gp(x0g, xpg) * gm(x0g, xpg)) ** 2))
     synthetic = lam ** (d / 2.0) * volume
     return value, synthetic
 

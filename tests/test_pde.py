@@ -399,6 +399,51 @@ class TestLinearization:
         assert np.max(np.abs(acc - dL)) <= 5e-3 * max(np.max(np.abs(dL)), 1e-9)
 
 
+class TestConjugatedCascade:
+    @pytest.mark.parametrize("kind", ["box", "disk"])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_conjugation_similarity(self, kind, repeat):
+        # solvers at (lam, lam, -lam) on the data g_i return e^{-lam_S x0}
+        # times the plain cascade on the data e^{lam_i x0} g_i, set by set;
+        # the disk runs the per-frequency blocks, the box the full matrix
+        if kind == "box":
+            dom = box_domain((1.0, 1.0, 1.0), (13, 11, 9))
+            center = (0.5, 0.5, 0.5)
+        else:
+            dom = disk_cylinder_domain(
+                make_chart("flat_disk", n=3, params={"radius": 0.5}),
+                17, 12, 16)
+            center = (0.5, 0.1, 0.0)
+        V = PotentialSeries({
+            1: make_field("constant", value=0.3),
+            2: make_field("gaussian", amp=1.4, center=center, width=0.6),
+            3: make_field("poly_x0", coeffs=[0.9, 0.3]),
+        })
+        V1 = V.eval_k(1, *dom.points())
+        g2 = lambda x0, xp: np.sin(np.asarray(x0)) + np.asarray(xp)[..., 1]
+        g3 = lambda x0, xp: 1.0 + np.asarray(x0) * np.asarray(xp)[..., 0]
+        fs = [disk_datum, disk_datum if repeat else g2, g3]
+        lam = 1.5
+        lams = (lam, lam, -lam)
+        s = SchrodingerSolver(dom, V1_field=V1, lam=lam)
+        assert s._nphi == (16 if kind == "disk" else 0)
+        L, H, w = direct_hierarchy_solve([s, s, s.mirror()], V, fs)
+        plain = [lambda x0, xp, f=f, l=l:
+                 np.exp(l * np.asarray(x0)) * f(x0, xp)
+                 for f, l in zip(fs, lams)]
+        L0, H0, w0 = direct_hierarchy_solve(
+            SchrodingerSolver(dom, V1_field=V1), V, plain)
+        X0 = dom.mesh[0]
+        assert set(w) == set(w0)
+        for subset, u in w.items():
+            lam_s = sum(lams[i] for i in subset)
+            assert rel_diff(u, np.exp(-lam_s * X0) * w0[subset]) <= 1e-12
+        assert rel_diff(L, np.exp(-lam * X0) * L0) <= 1e-12
+        assert rel_diff(H, np.exp(-lam * X0) * H0) <= 1e-12
+        # one datum object on one solver: its sets share one solution
+        assert (w[frozenset([0, 2])] is w[frozenset([1, 2])]) == repeat
+
+
 class TestPairingAndW:
     def test_pairing_manufactured(self):
         dom = box_domain((1.0, 1.0), (65, 65))

@@ -439,6 +439,89 @@ class TestBoundaryRoute:
                                                  ntrans=128),
                               nx0=24, nr=16, nphi=16)
 
+    def test_lower_order_sampling_guard(self, monkeypatch):
+        # at m = 4 a cubic coefficient feeds the 2 lambda solve too: with
+        # lambda = 30 on nr = 16 that is k h = 3.75 > pi, refused before
+        # any beam is built
+        def no_beams(*args, **kwargs):
+            raise AssertionError("a beam was built")
+
+        monkeypatch.setattr(recon, "assemble_cgo", no_beams)
+        task = self.make_task()
+        V3fn = make_field("trig_gaussian", amp=0.8, freq=2.0, c0=1.0,
+                          width=0.5, support=0.9)
+        task = ReconTask(**{**task.__dict__, "m": 4,
+                            "V": PotentialSeries({3: V3fn,
+                                                  4: task.V.coeff(3)})})
+        bundle = prepare_bundle(task, anchor="point")
+        with pytest.raises(ModeMismatch, match="disk grid.*2 lambda"):
+            full_dn_moment_v3(task, bundle, 0.2, 0.25, 30.0,
+                              make_cylinder_grid(task.chart, nx0=96,
+                                                 ntrans=128),
+                              nx0=24, nr=16, nphi=16)
+
+    @pytest.fixture(scope="class")
+    def coarse_route(self):
+        """The top coefficient P, the sensitivity test's quadratic
+        coefficient and a runner of the 24x16^2 disk grid at order m, all
+        runs on one bundle and cylinder grid."""
+        task = self.make_task()
+        V2fn = make_field("trig_gaussian", amp=0.8, freq=2.0, c0=1.0,
+                          width=0.5, support=0.9)
+        bundle = prepare_bundle(task, anchor="point")
+        cyl = make_cylinder_grid(task.chart, nx0=96, ntrans=128)
+
+        def run(coeffs, m):
+            t = ReconTask(**{**task.__dict__, "m": m,
+                             "V": PotentialSeries(coeffs)})
+            return full_dn_moment_v3(t, bundle, 0.2, 0.25, 20.0, cyl,
+                                     nx0=24, nr=16, nphi=16)
+        return task.V.coeff(3), V2fn, run
+
+    def test_m4_pairs_the_unit_datum(self, coarse_route):
+        # m = 4 runs the four-fold cascade on [g+, g+, g-, 1]: with V4 = P
+        # alone it is the m = 3 datum of V3 = P, and the lower-order
+        # companion cancels V2 up to the pairing's discretization error
+        P, V2fn, run = coarse_route
+        val3, syn3 = run({3: P}, 3)
+        val4, syn4 = run({4: P}, 4)
+        assert abs(val4 - val3) <= 1e-12 * abs(val3)
+        assert syn4 == syn3
+        val4q, _ = run({2: V2fn, 4: P}, 4)
+        assert abs(val4q - val4) <= 0.01 * abs(val4)
+        with pytest.raises(ModeMismatch, match="normalizer"):
+            run({1: make_field("constant", value=0.3), 4: P}, 4)
+
+    def test_cascade_traffic(self, coarse_route, monkeypatch):
+        # one cascade per call; -lambda solves on the mirrored +lambda
+        # factors, each other frequency built once, equal slots solved once
+        import beamlab.pde as pde
+
+        counts = {"solve": 0, "build": 0, "cascade": 0}
+        solver = pde.SchrodingerSolver
+        solve, init = solver.solve, solver.__init__
+        cascade = pde.direct_hierarchy_solve
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solver, "solve", counted("solve", solve))
+        monkeypatch.setattr(solver, "__init__", counted("build", init))
+        monkeypatch.setattr(pde, "direct_hierarchy_solve",
+                            counted("cascade", cascade))
+        P, V2fn, run = coarse_route
+        # (coefficients, m, solves, solver builds)
+        for coeffs, m, n_solve, n_build in [({3: P}, 3, 3, 1),
+                                            ({2: V2fn, 3: P}, 3, 5, 3),
+                                            ({4: P}, 4, 4, 2)]:
+            counts.update(solve=0, build=0, cascade=0)
+            run(coeffs, m)
+            assert counts == {"solve": n_solve, "build": n_build,
+                              "cascade": 1}
+
     def test_sensitivity_to_corrupted_lower_order(self):
         task = self.make_task()
         V2fn = make_field("trig_gaussian", amp=0.8, freq=2.0, c0=1.0,
