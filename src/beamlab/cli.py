@@ -52,16 +52,17 @@ def validate_config(cfg):
     return chart
 
 
-def _geodesic_inputs(cfg, chart):
+def _traced_path(cfg, chart):
+    """The geodesic of the config's ``geodesic`` block: start ``x``,
+    direction ``theta`` (unit in the metric), step ``h`` and ``margin``."""
     block = cfg.get("geodesic", {})
     d = chart.trans_dim
     x = np.asarray(block.get("x", [0.0] * d), dtype=float)
     theta = np.asarray(block.get("theta", [1.0] + [0.0] * (d - 1)),
                        dtype=float)
     theta = theta / chart.metric.norm(x, theta)
-    h = float(block.get("h", 1e-3))
-    margin = block.get("margin")
-    return x, theta, h, margin
+    return trace_geodesic(chart, x, theta, h=float(block.get("h", 1e-3)),
+                          margin=block.get("margin"))
 
 
 def _field_on_path(cfg, path, where):
@@ -76,8 +77,7 @@ def _field_on_path(cfg, path, where):
 
 
 def task_geodesic(cfg, chart, outdir):
-    x, theta, h, margin = _geodesic_inputs(cfg, chart)
-    path = trace_geodesic(chart, x, theta, h=h, margin=margin)
+    path = _traced_path(cfg, chart)
     out = os.path.join(outdir, "geodesic.csv")
     path.to_csv(out)
     return {"tau_minus": path.tau_minus, "tau_plus": path.tau_plus,
@@ -85,8 +85,7 @@ def task_geodesic(cfg, chart, outdir):
 
 
 def task_jacobi(cfg, chart, outdir):
-    x, theta, h, margin = _geodesic_inputs(cfg, chart)
-    path = trace_geodesic(chart, x, theta, h=h, margin=margin)
+    path = _traced_path(cfg, chart)
     K = curvature_along(path)
     block = cfg.get("jacobi", {})
     eps_list = block.get("eps", [0.1])
@@ -109,8 +108,7 @@ def task_jacobi(cfg, chart, outdir):
 
 def task_transform(cfg, chart, outdir):
     block = cfg.get("transform", {})
-    x, theta, h, margin = _geodesic_inputs(cfg, chart)
-    path = trace_geodesic(chart, x, theta, h=h, margin=margin)
+    path = _traced_path(cfg, chart)
     K = curvature_along(path)
     anchor = block.get("anchor", "point")
     pair = real_pair(K, anchor)
@@ -128,8 +126,7 @@ def task_transform(cfg, chart, outdir):
 def task_invert(cfg, chart, outdir):
     block = cfg.get("invert", {})
     route = block.get("route", "j2")
-    x, theta, h, margin = _geodesic_inputs(cfg, chart)
-    path = trace_geodesic(chart, x, theta, h=h, margin=margin)
+    path = _traced_path(cfg, chart)
     K = curvature_along(path)
     f = _field_on_path(block, path, "invert")
     eps_grid = block.get("eps_grid", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
@@ -214,8 +211,7 @@ def task_cgo_rates(cfg, chart, outdir):
                       quasimode_lp_norm)
     from .jacobi import solve_jacobi
     block = cfg.get("cgo_rates", {})
-    x, theta, h, margin = _geodesic_inputs(cfg, chart)
-    path = trace_geodesic(chart, x, theta, h=h, margin=margin)
+    path = _traced_path(cfg, chart)
     K = curvature_along(path)
     m = chart.trans_dim - 1
     Y = solve_jacobi(K, 0.0, np.eye(m), 1j * np.eye(m),

@@ -109,56 +109,42 @@ def _simpson_weights(n, h):
     return w * h / 3.0
 
 
-def _sinh_grid(window, center, scale, nodes):
-    a, b = window
-    scale = min(max(scale, 1e-9), b - a)
-    ua = math.asinh((a - center) / scale)
-    ub = math.asinh((b - center) / scale)
-    n = nodes + (nodes + 1) % 2      # odd node count
-    u = np.linspace(ua, ub, n)
-    t = center + scale * np.sinh(u)
-    t[0], t[-1] = a, b
-    jac = scale * np.cosh(u)
-    return t, jac, u
-
-
-def _collapse_scale(Y, window, power):
-    """Location and size of the near-singularity of the weight."""
-    tt = np.linspace(window[0], window[1], 2001)
+def _forward(f, Y, window, weight):
+    """Integral of ``f * weight(Y, t)`` over the window: composite Simpson
+    in u on ``t = center + scale sinh(u)``, centred where ``|det Y|`` is
+    least with a quarter of its m-th root there as the scale."""
+    a, b = f.window if window is None else window
+    tt = np.linspace(a, b, 2001)
     d = np.abs(Y.det(tt))
     i = int(np.argmin(d))
-    return tt[i], max(d[i] ** (1.0 / power), 1e-9)
+    center = tt[i]
+    scale = min(max(d[i] ** (1.0 / Y.m) / 4.0, 1e-9), b - a)
+    u = np.linspace(math.asinh((a - center) / scale),
+                    math.asinh((b - center) / scale), 4001)
+    t = center + scale * np.sinh(u)
+    t[0], t[-1] = a, b
+    vals = f.at(t) * weight(Y, t) * (scale * np.cosh(u))
+    return complex(np.sum(_simpson_weights(len(u), u[1] - u[0]) * vals))
 
 
-def j1_forward(f, Y, window=None, nodes=4001):
+def j1_forward(f, Y, window=None):
     """First-kind transform: integral of f (det Y)^{-1/2} over the window."""
-    window = f.window if window is None else window
-    m = Y.m
-    center, scale = _collapse_scale(Y, window, m)
-    t, jac, u = _sinh_grid(window, center, scale / 4.0, nodes)
-    w = det_root_branch(Y, t)
-    vals = f.at(t) * w * jac
-    return complex(np.sum(_simpson_weights(len(u), u[1] - u[0]) * vals))
+    return _forward(f, Y, window, det_root_branch)
 
 
-def j2_forward(f, Y, window=None, nodes=4001):
+def j2_forward(f, Y, window=None):
     """Second-kind transform: integral of f |det Y|^{-1} over the window."""
-    window = f.window if window is None else window
-    m = Y.m
-    center, scale = _collapse_scale(Y, window, m)
-    t, jac, u = _sinh_grid(window, center, scale / 4.0, nodes)
-    vals = f.at(t) * np.abs(Y.det(t)) ** (-1.0) * jac
-    return complex(np.sum(_simpson_weights(len(u), u[1] - u[0]) * vals))
+    return _forward(f, Y, window, lambda Y, t: np.abs(Y.det(t)) ** (-1.0))
 
 
-def forward_curve(f, family, eps_grid, kind="second", window=None, nodes=4001):
+def forward_curve(f, family, eps_grid, kind="second", window=None):
     """Evaluate a transform over a family parameter grid.
 
     ``family`` maps eps to an admissible Jacobi field.
     """
     eps_grid = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
     fwd = j1_forward if kind == "first" else j2_forward
-    vals = [fwd(f, family(e), window=window, nodes=nodes) for e in eps_grid]
+    vals = [fwd(f, family(e), window=window) for e in eps_grid]
     return TransformCurve(eps=eps_grid, values=np.asarray(vals), kind=kind)
 
 
@@ -176,15 +162,26 @@ def normalization_integral(zeta, eps, n):
 # ---------------------------------------------------------------------------
 
 def _neville_at_zero(x, y):
-    """Neville interpolation evaluated at 0; returns the diagonal sequence."""
-    x = np.asarray(x, dtype=float)
+    """Neville interpolation evaluated at 0 along the leading axis of ``y``,
+    each trailing column on its own; returns the diagonal sequence."""
+    x = np.asarray(x, dtype=float).reshape((-1,) + (1,) * (np.ndim(y) - 1))
     p = np.array(y, dtype=complex)
-    diag = [p[0]]
+    diag = [p[0].copy()]
     for level in range(1, len(x)):
-        for i in range(len(x) - level):
-            p[i] = (x[i + level] * p[i] - x[i] * p[i + 1]) / (x[i + level] - x[i])
-        diag.append(p[0])
+        lo, hi = x[:-level], x[level:]
+        p[:-level] = (hi * p[:-level] - lo * p[1:len(x) - level + 1]) / (hi - lo)
+        diag.append(p[0].copy())
     return diag
+
+
+def _check_columns(value, bound, message):
+    """Raise ``NoConvergence`` if ``value > bound`` in any column, with
+    ``message`` formatted with the value of the column of largest
+    ``value / bound``, which it names."""
+    if np.any(value > bound):
+        worst = np.unravel_index(np.argmax(value / bound), np.shape(value))
+        where = f" (worst column {tuple(map(int, worst))})" if worst else ""
+        raise NoConvergence(message.format(value[worst]) + where)
 
 
 # accepted relative spread and Neville depth of the second-kind limit; window
@@ -198,28 +195,31 @@ def invert_j2_point(oracle, eps_grid, zeta, n):
 
     Divides the data by the model normalization and extrapolates to the
     singular limit in the variable x = 1/normalization, in which the residual
-    of the limiting identity is analytic for smooth inputs.
+    of the limiting identity is analytic for smooth inputs.  Oracle values
+    may carry trailing axes: ``estimate`` and ``error_bound`` are then arrays
+    over those columns, and a check that fails in any column raises.
     """
     eps_grid = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
     J = np.array([oracle(e) for e in eps_grid], dtype=complex)
     N = np.array([normalization_integral(zeta, e, n) for e in eps_grid])
-    est = J / N
+    est = J / N.reshape((-1,) + (1,) * (J.ndim - 1))
     x = 1.0 / N
     k = min(J2_POINTS, len(eps_grid))
     diag = _neville_at_zero(x[-k:][::-1], est[-k:][::-1])
     value = diag[-1]
-    incs = [abs(diag[i] - diag[i - 1]) for i in range(1, len(diag))]
-    err = max(incs[-2:]) if incs else np.inf
-    floor = 1e-12 + 0.01 * np.max(np.abs(est))
-    trend = abs(est[-1] - est[-2]) if len(est) > 1 else 0.0
-    if trend > J2_RTOL * max(abs(est[-1]), floor):
-        raise NoConvergence("normalized data still trending; "
-                            "parameter grid not in the asymptotic regime")
-    if err > J2_RTOL * max(abs(value), floor):
-        raise NoConvergence(f"extrapolants differ by {err:.3g}")
-    return InversionReport(estimate=value, error_bound=float(err),
+    incs = np.abs(np.diff(diag, axis=0))[-2:]
+    err = incs.max(axis=0) if len(incs) else np.full(J.shape[1:], np.inf)
+    floor = 1e-12 + 0.01 * np.max(np.abs(est), axis=0)
+    trend = abs(est[-1] - est[-2]) if len(est) > 1 else np.zeros(J.shape[1:])
+    _check_columns(trend, J2_RTOL * np.maximum(abs(est[-1]), floor),
+                   "normalized data still trending; "
+                   "parameter grid not in the asymptotic regime")
+    _check_columns(err, J2_RTOL * np.maximum(abs(value), floor),
+                   "extrapolants differ by {:.3g}")
+    return InversionReport(estimate=value, error_bound=err[()],
                            eps_grid=list(eps_grid), zeta=float(zeta),
-                           diagnostics={"raw_estimates": [repr(v) for v in est]})
+                           diagnostics={"raw_estimates":
+                                        [repr(v) for v in est.ravel()]})
 
 
 def invert_j1_point_split(oracle, eps_grid, f_check=None):
@@ -233,15 +233,14 @@ def invert_j1_point_split(oracle, eps_grid, f_check=None):
     if f_check is not None and np.max(np.abs(np.imag(f_check))) > 1e-12:
         raise NonRealInput("split route requires a real-valued integrand")
     eps_grid = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
-    cache = {float(e): oracle(e) for e in eps_grid}
+    im = np.array([oracle(e) for e in eps_grid]).imag / math.pi
     per_zeta = []
     spreads = []
     for z in SPLIT_ZETAS:
-        sub = eps_grid[eps_grid <= 0.5 * z]
-        if len(sub) < 2:
+        sub = eps_grid <= 0.5 * z
+        if np.sum(sub) < 2:
             continue
-        vals = np.array([np.imag(cache[float(e)]) / math.pi for e in sub])
-        diag = _neville_at_zero(sub[::-1][:5], vals[::-1][:5])
+        diag = _neville_at_zero(eps_grid[sub][::-1][:5], im[sub][::-1][:5])
         per_zeta.append((z, float(np.real(diag[-1]))))
         spreads.append(abs(diag[-1] - diag[-2]) if len(diag) > 1 else 0.0)
     if len(per_zeta) < 2:
@@ -281,6 +280,9 @@ def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None):
     the two real solutions; recover the transformed profile by regularized
     Legendre least squares; map back to f(gamma(t)).
 
+    Oracle values may carry trailing axes, the columns of the returned
+    sample and moments; every column shares the design and both ridge solves.
+
     Works best with the family anchor retracted well before the entry time:
     the ratio spread of Z/X over the window sets the conditioning of both
     fits.
@@ -302,6 +304,14 @@ def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None):
         eps_grid = np.linspace(0.08, 0.9, 4 * (K_max + 1)) / xt_max
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
     J = np.array([oracle(e) for e in eps_grid], dtype=complex)
+    cols = J.shape[1:]
+    data = np.concatenate([J.real, J.imag]).reshape(2 * len(eps_grid), -1)
+
+    # the reconstruction is linear in the data, so each stage below maps the
+    # 2 n_eps real data coordinates; ``apply`` meets the data last, one row
+    # at a time, so a column's sums run in one order whatever its neighbours
+    def apply(op):
+        return sum(op[:, j, None] * row for j, row in enumerate(data))
 
     # stage (a): density rho = f X^{-1/2} in a Legendre basis fitted against
     # the exact weight family; moments are quadratures of the fit
@@ -309,35 +319,30 @@ def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None):
     tq = np.linspace(ta, tb, nq)
     wq = _simpson_weights(nq, tq[1] - tq[0])
     Xtq = np.interp(tq, tt, Xt)
-    s = 2.0 * (tq - ta) / (tb - ta) - 1.0
     nba = K_max + DENSITY_PAD
-    P = np.stack([L.legval(s, [0] * q + [1]) for q in range(nba)], axis=1)
-    Wgt = np.stack([(1.0 - 1j * e * Xtq) ** (-0.5) for e in eps_grid], axis=0)
+    P = L.legvander(2.0 * (tq - ta) / (tb - ta) - 1.0, nba - 1)
+    Wgt = (1.0 - 1j * np.outer(eps_grid, Xtq)) ** (-0.5)
     G = (Wgt * wq) @ P
     design = np.vstack([G.real, G.imag])
-    rhs = np.concatenate([J.real, J.imag])
     cond = np.linalg.cond(design)
     if cond > MOMENT_COND_CAP:
         raise IllConditioned(f"moment design condition number {cond:.3g}")
     lam_a = DENSITY_RIDGE * np.trace(design.T @ design) / nba
-    coef = np.linalg.solve(design.T @ design + lam_a * np.eye(nba),
-                           design.T @ rhs)
-    rho = P @ coef
-    M = np.array([np.sum(wq * rho * Xtq ** k) for k in range(K_max + 1)])
+    coef = np.linalg.solve(design.T @ design + lam_a * np.eye(nba), design.T)
+    k = np.arange(K_max + 1)[:, None]
+    M = (wq * Xtq ** k) @ (P @ coef)
 
     # Legendre LS on the transformed interval against the raw moments
     lo, hi = xt_min, xt_max
-    q_nodes, q_w = np.polynomial.legendre.leggauss(64)
-    s_nodes = q_nodes
+    q_nodes, q_w = L.leggauss(64)
     t_tilde = 0.5 * (hi - lo) * (q_nodes + 1) + lo
     jacq = 0.5 * (hi - lo)
     nb = K_max + 1
-    P = np.stack([L.legval(s_nodes, [0] * q + [1]) for q in range(nb)], axis=1)
-    powers = np.stack([t_tilde ** k for k in range(K_max + 1)], axis=0)
-    A = (powers * q_w) @ P * jacq           # A[k, q] = int t~^k P_q dt~
+    # A[k, q] = int t~^k P_q dt~
+    A = (t_tilde ** k * q_w) @ L.legvander(q_nodes, K_max) * jacq
     row_scale = np.max(np.abs(A), axis=1)
     As = A / row_scale[:, None]
-    Ms = M / row_scale
+    Ms = M / row_scale[:, None]
     lam = PROFILE_RIDGE * np.trace(As.T @ As) / nb
     beta = np.linalg.solve(As.T @ As + lam * np.eye(nb), As.T @ Ms)
 
@@ -350,9 +355,11 @@ def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None):
     Xto = Zo / Xo
     Xtd = (Zdo * Xo - Xdo * Zo) / Xo ** 2
     s_out = 2.0 * (Xto - lo) / (hi - lo) - 1.0
-    g = L.legval(np.clip(s_out, -1.0, 1.0), beta)
-    f_rec = g * np.abs(Xtd) * np.sqrt(Xo)
-    return GeodesicSample(t_out, np.real(f_rec), window=(ta, tb)), {
-        "moments": M.tolist(), "condition": float(cond),
-        "basis_size": nb, "eps_grid": eps_grid.tolist(),
+    g = L.legvander(np.clip(s_out, -1.0, 1.0), K_max) @ beta
+    f_rec = apply(g * (np.abs(Xtd) * np.sqrt(Xo))[:, None])
+    return GeodesicSample(t_out, f_rec.reshape((-1,) + cols),
+                          window=(ta, tb)), {
+        "moments": apply(M).reshape((-1,) + cols).tolist(),
+        "condition": float(cond), "basis_size": nb,
+        "eps_grid": eps_grid.tolist(),
     }

@@ -21,7 +21,8 @@ from .cgo import (TubeBeam, assemble_cgo, build_amplitude, build_phase,
                   tube_grid)
 from .errors import ModeMismatch
 from .geometry import FermiChart, trace_geodesic
-from .jacobi import curvature_along, epsilon_family, real_pair, riccati_path
+from .jacobi import (curvature_along, det_root_branch, epsilon_family,
+                     real_pair, riccati_path)
 from .potentials import make_field
 from .raytransform import _simpson_weights, invert_j1_moments, invert_j2_point
 
@@ -54,7 +55,6 @@ class ReconTask:
     delta: float = None
     margin: float = None
     basis_freqs: tuple = (1.5,)
-    assume_real: bool = True         # enforce conjugate symmetry across xi
     truth: object = None             # optional callable for diagnostics
 
     def xi_grid(self):
@@ -227,6 +227,20 @@ def _calibration(bundle, Y, eps):
 # moment data
 # ---------------------------------------------------------------------------
 
+def _ladder(task, bundle, eps, field_fn, factor_sets, sigma, lams):
+    """Rung values of ``factor_sets`` at ``eps`` over ``lams`` (one row per
+    set, then the shape of ``sigma``), their calibrated limit, the fit
+    residual and the anchor scale."""
+    lams = task.lams if lams is None else lams
+    Y, phase, amp = bundle.beam(eps, task.N, task.delta)
+    vals = [tube_interaction(bundle, field_fn, phase, amp, factor_sets, lam,
+                             sigma).T.reshape((-1,) + np.shape(sigma))
+            for lam in lams]
+    limit, resid = lambda_extrapolate(lams, vals)
+    cal, s = _calibration(bundle, Y, eps)
+    return vals, limit * cal, resid, s
+
+
 def dn_moment_v3(task, bundle, eps, sigma, field_fn=None, lams=None):
     """Frequency-ladder interaction data for an (m >= 3)-fold family.
 
@@ -235,18 +249,14 @@ def dn_moment_v3(task, bundle, eps, sigma, field_fn=None, lams=None):
     returns the calibrated transform datum of the extrapolated limit, one
     per sigma.
     """
-    lams = task.lams if lams is None else lams
-    Y, phase, amp = bundle.beam(eps, task.N, task.delta)
     if field_fn is None:
         field_fn = task.V.coeff(task.m)
-    vals = [tube_interaction(bundle, field_fn, phase, amp,
-                             [[(1.0, +1, 2), (1.0, -1, 2)]], lam, sigma)
-            .reshape(np.shape(sigma)) for lam in lams]
-    limit, resid = lambda_extrapolate(lams, vals)
-    cal, s = _calibration(bundle, Y, eps)
-    datum = limit * cal * s
-    return datum, {"ladder": vals, "fit_residual": resid, "eps": eps,
-                   "sigma": sigma}
+    vals, limit, resid, s = _ladder(task, bundle, eps, field_fn,
+                                    [[(1.0, +1, 2), (1.0, -1, 2)]], sigma,
+                                    lams)
+    return limit[0] * s, {"ladder": [v[0] for v in vals],
+                          "fit_residual": resid[0], "eps": eps,
+                          "sigma": sigma}
 
 
 def dn_moment_v2(task, bundle, eps, sigma, lams=None):
@@ -257,15 +267,10 @@ def dn_moment_v2(task, bundle, eps, sigma, lams=None):
     sigma: S1 pairs (f+, f+) against the doubled minus solution, S2 the
     conjugates.
     """
-    lams = task.lams if lams is None else lams
-    Y, phase, amp = bundle.beam(eps, task.N, task.delta, 0, None)
-    V2 = task.V.coeff(2)
     pairings = [[(1.0, +1, 2), (2.0, -1, 1)], [(1.0, -1, 2), (2.0, +1, 1)]]
-    vals = [tube_interaction(bundle, V2, phase, amp, pairings, lam, sigma).T
-            .reshape((2,) + np.shape(sigma)) for lam in lams]
-    (lim1, lim2), (r1, r2) = lambda_extrapolate(lams, vals)
-    cal, _ = _calibration(bundle, Y, eps)
-    return lim1 * cal, lim2 * cal, {"fit_residuals": (r1, r2), "eps": eps}
+    _, (s1, s2), resid, _ = _ladder(task, bundle, eps, task.V.coeff(2),
+                                    pairings, sigma, lams)
+    return s1, s2, {"fit_residuals": tuple(resid), "eps": eps}
 
 
 def stationary_phase_oracle(task, bundle, eps, xi, kind="second"):
@@ -275,8 +280,6 @@ def stationary_phase_oracle(task, bundle, eps, xi, kind="second"):
     ``|det Y|^{-1}`` or the branch root, and the product-variable transform
     is a Simpson quadrature over the interval.
     """
-    from .jacobi import det_root_branch
-
     chart = bundle.chart
     a0, b0 = chart.interval
     path = bundle.path
@@ -350,30 +353,29 @@ def fourier_synthesis(task, xi, data, nx0=97):
     """Least-squares trigonometric fit of the product-variable profile.
 
     The model spans the constant plus sin/cos at the registered frequencies;
-    the design is the windowed transform of each basis function.
+    the design is the windowed transform of each basis function.  ``data``
+    has one row per xi; trailing axes are columns fitted in the same solve,
+    and the profile's values are ``(nx0,)`` followed by the column shape.
     """
     a0, b0 = task.chart.interval
     x0g = np.linspace(a0, b0, nx0)
     fine = np.linspace(a0, b0, 801)
     wq = _simpson_weights(len(fine), fine[1] - fine[0])
-    basis = [np.ones_like(fine)]
-    basis_g = [np.ones_like(x0g)]
-    for nu in task.basis_freqs:
-        basis.append(np.cos(nu * fine))
-        basis.append(np.sin(nu * fine))
-        basis_g.append(np.cos(nu * x0g))
-        basis_g.append(np.sin(nu * x0g))
-    D = np.empty((len(xi), len(basis)), dtype=complex)
-    for ik, k in enumerate(xi):
-        for ib, b in enumerate(basis):
-            D[ik, ib] = np.sum(wq * np.exp(-1j * k * fine) * b)
+
+    def basis(x):
+        # columns 1, cos(nu x), sin(nu x), one pair per frequency nu
+        arg = np.outer(x, task.basis_freqs)
+        trig = np.stack([np.cos(arg), np.sin(arg)], axis=-1)
+        return np.column_stack([np.ones_like(x), trig.reshape(len(x), -1)])
+
+    D = (wq * np.exp(-1j * np.outer(xi, fine))) @ basis(fine)
     lam = 1e-10 * np.trace(np.real(D.conj().T @ D)) / D.shape[1]
     lhs = D.conj().T @ D + lam * np.eye(D.shape[1])
-    coef = np.linalg.solve(lhs, D.conj().T @ np.asarray(data, dtype=complex))
-    vals = np.zeros(nx0, dtype=complex)
-    for c, b in zip(coef, basis_g):
-        vals = vals + c * b
-    return x0g, vals, coef
+    data = np.asarray(data, dtype=complex)
+    coef = np.linalg.solve(lhs, D.conj().T @ data.reshape(len(xi), -1))
+    vals = basis(x0g) @ coef
+    return (x0g, vals.reshape((nx0,) + data.shape[1:]),
+            coef.reshape((-1,) + data.shape[1:]))
 
 
 def _check_order(task):
@@ -389,39 +391,43 @@ def _check_order(task):
             "series has a V1 term")
 
 
+def _row_oracle(eps_grid, table):
+    """The oracle ``eps_grid[i] -> table[i]`` of an (eps, ...) table, for
+    the inversions, which ask for the rows by family parameter."""
+    eps_grid = list(eps_grid)
+    return lambda e: table[eps_grid.index(e)]
+
+
 def recover_vm(task):
     """Pointwise recovery of the m-th coefficient at the bundle anchor
     (m >= 3), second-kind route; ``_check_order`` runs before any beam is
-    built."""
+    built.  The (eps, xi) table goes through one limit and one synthesis."""
     _check_order(task)
     bundle = prepare_bundle(task, anchor="point")
     xi = task.xi_grid()
-    table = {}
-    for eps in task.eps_grid:
-        scale = max(1.0, task.lam_eps_ref / eps)
-        lams = tuple(l * scale for l in task.lams)
-        table[eps], _ = dn_moment_v3(task, bundle, eps, -xi / 4.0, lams=lams)
-    data = np.empty(len(xi), dtype=complex)
-    errs = np.empty(len(xi))
-    for i in range(len(xi)):
-        rep = invert_j2_point(lambda e: table[e][i], list(task.eps_grid),
-                              zeta=task.zeta, n=task.chart.n)
-        data[i] = rep.estimate
-        errs[i] = rep.error_bound
-    x0g, vals, _ = fourier_synthesis(task, xi, data)
+    table = np.stack([
+        dn_moment_v3(task, bundle, eps, -xi / 4.0,
+                     lams=tuple(l * max(1.0, task.lam_eps_ref / eps)
+                                for l in task.lams))[0]
+        for eps in task.eps_grid])
+    rep = invert_j2_point(_row_oracle(task.eps_grid, table), task.eps_grid,
+                          zeta=task.zeta, n=task.chart.n)
+    x0g, vals, _ = fourier_synthesis(task, xi, rep.estimate)
     truth = None
     if task.truth is not None:
         p = np.zeros(task.chart.trans_dim) if task.point is None \
             else np.asarray(task.point, dtype=float)
         truth = np.asarray(task.truth(x0g, p[None, :]), dtype=complex)
     return RecoveredPotential(m=task.m, x0=x0g, values=vals, xi=xi,
-                              xi_data=data, err_est=errs, truth=truth)
+                              xi_data=rep.estimate, err_est=rep.error_bound,
+                              truth=truth)
 
 
 def recover_v2(task):
     """Recovery of the quadratic coefficient along the geodesic (n = 3:
     moment route on the conjugate-split first-kind data), one column of
-    ``values`` per geodesic parameter ``t``."""
+    ``values`` per geodesic parameter ``t``.  The (eps, xi, split) table
+    goes through one moment inversion and one synthesis."""
     if task.chart.n != 3:
         raise ModeMismatch("the moment route runs on a scalar offset rank")
     bundle = prepare_bundle(task, anchor="entry")
@@ -434,34 +440,23 @@ def recover_v2(task):
     eps_grid = np.linspace(0.08, 0.9, 3 * (K_max + 1)) / xt_max
 
     xi = task.xi_grid()
-    s1_table, s2_table = {}, {}
-    for eps in eps_grid:
-        # continuous scaling keeps lambda * eps constant, so the ladder
-        # bias varies smoothly in eps and the moment fit absorbs it
-        scale = task.lam_eps_ref / eps
-        lams = tuple(l * scale for l in task.lams)
-        s1_table[float(eps)], s2_table[float(eps)], _ = dn_moment_v2(
-            task, bundle, float(eps), -xi / 4.0, lams=lams)
-    # assemble the transformed coefficient along gamma, then synthesize per t
-    rows = []
-    for i, k in enumerate(xi):
-        re_or = lambda e: 0.5 * (s1_table[float(e)][i]
-                                 + np.conj(s2_table[float(e)][i]))
-        im_or = lambda e: (s1_table[float(e)][i]
-                           - np.conj(s2_table[float(e)][i])) / 2j
-        fr, _ = invert_j1_moments(re_or, X, Z, window, K_max=K_max,
-                                  eps_grid=eps_grid)
-        fi, _ = invert_j1_moments(im_or, X, Z, window, K_max=K_max,
-                                  eps_grid=eps_grid)
-        rows.append((fr.values + 1j * fi.values) * np.exp(-k * fr.t))
-    t_out = fr.t
-    vals = np.stack(rows)
-    if task.assume_real:
-        # real coefficients carry conjugate symmetry across the frequency grid
-        vals = 0.5 * (vals + np.conj(vals[::-1]))
-    fits = [fourier_synthesis(task, xi, vals[:, j]) for j in range(len(t_out))]
-    x0g = fits[0][0]
-    field = np.stack([v for _, v, _ in fits], axis=1)
+    # continuous scaling keeps lambda * eps constant, so the ladder bias
+    # varies smoothly in eps and the moment fit absorbs it; (eps, pairing, xi)
+    table = np.array([
+        dn_moment_v2(task, bundle, float(eps), -xi / 4.0,
+                     lams=tuple(l * (task.lam_eps_ref / eps)
+                                for l in task.lams))[:2]
+        for eps in eps_grid])
+    s1, s2 = table[:, 0], np.conj(table[:, 1])
+    split = np.stack([0.5 * (s1 + s2), (s1 - s2) / 2j], axis=-1)
+    f, _ = invert_j1_moments(_row_oracle(eps_grid, split), X, Z, window,
+                             K_max=K_max, eps_grid=eps_grid)
+    t_out = f.t
+    vals = ((f.values[..., 0] + 1j * f.values[..., 1]).T
+            * np.exp(-np.outer(xi, t_out)))
+    # real coefficients carry conjugate symmetry across the frequency grid
+    vals = 0.5 * (vals + np.conj(vals[::-1]))
+    x0g, field, _ = fourier_synthesis(task, xi, vals)
     truth = None
     if task.truth is not None:
         pts = bundle.path.point(t_out)

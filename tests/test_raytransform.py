@@ -192,6 +192,34 @@ class TestInvertJ2:
             invert_j2_point(bad, [1e-1, 3e-2, 1e-2, 3e-3, 1e-3], zeta=0.4, n=4)
 
 
+    def test_columns_match_scalar_calls(self, cap3):
+        # a 3-column oracle extrapolates each column exactly as a scalar call
+        p, K = cap3
+        pair = real_pair(K, "point")
+        fs = [GeodesicSample.from_time_function(p, fn) for fn in (
+            lambda t: 3.0 * np.ones_like(t), np.cos,
+            lambda t: 1.0 + 0.4 * np.sin(1.3 * t + 0.4))]
+        eps = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+        data = {e: np.array([j2_forward(f, epsilon_family(K, e, pair=pair))
+                             for f in fs]) for e in eps}
+        rep = invert_j2_point(lambda e: data[e], eps, zeta=0.4, n=3)
+        assert rep.estimate.shape == rep.error_bound.shape == (3,)
+        for i in range(3):
+            one = invert_j2_point(lambda e: data[e][i], eps, zeta=0.4, n=3)
+            assert rep.estimate[i] == one.estimate
+            assert rep.error_bound[i] == one.error_bound
+
+    def test_unconverged_column_named(self):
+        # one column outgrowing the normalization fails the whole table and
+        # the message names it
+        eps = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+        good = lambda e: normalization_integral(0.4, e, 4)
+        table = lambda e: np.array([[good(e), 2.0 * good(e)],
+                                    [good(e), good(e) ** 2]])
+        with pytest.raises(NoConvergence, match=r"worst column \(1, 1\)"):
+            invert_j2_point(table, eps, zeta=0.4, n=4)
+
+
 class TestInvertJ1Split:
     eps = [0.18, 0.12, 0.08, 0.05, 0.03, 0.02, 0.012, 0.008, 0.005,
            0.003, 0.002, 0.001]
@@ -309,6 +337,35 @@ class TestInvertJ1Moments:
         eps = 0.02
         series = sum(a[k] * (1j * eps) ** k * M[k] for k in range(9))
         assert abs(orc(eps) - series) <= 1e-6
+
+    def test_columns_match_per_column_calls(self):
+        # stacked columns share the design and both ridge solves; each column
+        # equals its own call (to 1e-12; the sums run in one order, so the
+        # match is exact)
+        p, X, Z, _ = self.make_route(lambda t: 0.0 * t)
+        window = (p.tau_minus, p.tau_plus)
+        fs = [GeodesicSample.from_time_function(p, fn) for fn in (
+            lambda t: np.exp(-t * t), lambda t: 1.0 / (1.0 + t * t),
+            lambda t: 0.5 + 0.3 * t)]
+        K = curvature_along(p)
+        data = {}
+
+        def stacked(e):
+            Y = epsilon_family(K, e, anchor="entry", pair=(X, Z))
+            data[e] = np.array([j1_forward(f, Y, window=window) for f in fs])
+            return data[e]
+
+        rec, diag = invert_j1_moments(stacked, X, Z, window, K_max=8)
+        assert rec.values.shape == (len(rec.t), 3)
+        M = np.asarray(diag["moments"])
+        for i in range(3):
+            one, d1 = invert_j1_moments(lambda e: data[e][i], X, Z, window,
+                                        K_max=8)
+            scale = np.max(np.abs(one.values))
+            assert np.max(np.abs(rec.values[:, i] - one.values)) <= 1e-12 * scale
+            m1 = np.asarray(d1["moments"])
+            assert np.max(np.abs(M[:, i] - m1)) <= 1e-12 * np.max(np.abs(m1))
+            assert diag["condition"] == d1["condition"]
 
     def test_non_monotone_guard(self):
         p, X, Z, orc = self.make_route(lambda t: np.exp(-t * t))

@@ -13,9 +13,10 @@ from beamlab.jacobi import ComplexJacobiField
 from beamlab.potentials import PotentialSeries, make_field
 from beamlab.recon import (ReconTask, dn_moment_v2, dn_moment_v3,
                            fourier_synthesis, full_dn_moment_v3,
-                           lambda_extrapolate, prepare_bundle, recover_vm,
-                           sensitivity_report, stationary_phase_oracle,
-                           tube_interaction, _calibration, _simpson_weights)
+                           lambda_extrapolate, prepare_bundle, recover_v2,
+                           recover_vm, sensitivity_report,
+                           stationary_phase_oracle, tube_interaction,
+                           _calibration, _simpson_weights)
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +356,66 @@ class TestSynthesis:
         expect = 0.7 - 0.3 * np.cos(1.5 * x0g) + 0.2 * np.sin(1.5 * x0g)
         np.testing.assert_allclose(vals.real, expect, atol=1e-8)
         np.testing.assert_allclose(vals.imag, 0.0, atol=1e-8)
+
+
+    def test_columns_match_per_column_calls(self):
+        # trailing data axes are columns fitted in one solve
+        ch = make_chart("flat_disk", n=3, interval=(0.0, 4.0))
+        task = ReconTask(chart=ch, V=PotentialSeries({}), m=3, sigma0=4.0,
+                         basis_freqs=(1.5, 2.5))
+        xi = task.xi_grid()
+        rng = np.random.default_rng(7)
+        data = (rng.normal(size=(len(xi), 2, 3))
+                + 1j * rng.normal(size=(len(xi), 2, 3)))
+        x0g, vals, coef = fourier_synthesis(task, xi, data)
+        assert vals.shape == (len(x0g), 2, 3)
+        assert coef.shape == (5, 2, 3)
+        for i in range(2):
+            for j in range(3):
+                _, v1, c1 = fourier_synthesis(task, xi, data[:, i, j])
+                assert (np.max(np.abs(vals[:, i, j] - v1))
+                        <= 1e-12 * np.max(np.abs(v1)))
+                assert (np.max(np.abs(coef[:, i, j] - c1))
+                        <= 1e-12 * np.max(np.abs(c1)))
+
+
+class TestPipeline:
+    """Each stage of a recovery runs once over the whole (eps, xi) table,
+    not once per xi column or per geodesic sample."""
+
+    @staticmethod
+    def count(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(recon, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(recon, name, counted)
+        return calls
+
+    def test_recover_vm_stage_calls(self, v3_setup, monkeypatch):
+        # criterion 10's cubic configuration, 17 xi
+        task, _ = v3_setup
+        calls = self.count(monkeypatch, "invert_j2_point", "fourier_synthesis")
+        recover_vm(task)
+        assert calls == {"invert_j2_point": 1, "fourier_synthesis": 1}
+
+    def test_recover_v2_stage_calls(self, monkeypatch):
+        # criterion 10's quadratic configuration: 17 xi, two splits each,
+        # and 201 geodesic samples
+        ch = make_chart("flat_disk", n=3, interval=(0.0, 4.0),
+                        params={"tube_radius": 1.0})
+        V2fn = make_field("trig_gaussian", amp=1.0, freq=1.5, c0=0.4, c1=1.0,
+                          s1=0.3, width=0.8, support=0.95)
+        task = ReconTask(chart=ch, V=PotentialSeries({2: V2fn}), m=2,
+                         truth=V2fn, margin=1.0, delta=1.0, sigma0=4.0,
+                         lams=(10240.0, 20480.0, 40960.0, 81920.0), n_xi=17)
+        calls = self.count(monkeypatch, "invert_j1_moments",
+                           "fourier_synthesis")
+        rec = recover_v2(task)
+        assert calls == {"invert_j1_moments": 1, "fourier_synthesis": 1}
+        assert rec.values.shape == (97, 201)
 
 
 class TestBoundaryRoute:
