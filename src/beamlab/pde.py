@@ -3,11 +3,14 @@
 Conservative second-order finite differences on tensor grids with diagonal
 metrics.  The transversal disk uses a cell-centered polar radius (the pole
 face carries zero flux, the rim is a Dirichlet face), so the boundary is
-exact; boxes use node axes.  Each solver assembles its operator once as one
-sparse matrix and factors it once for every solve with the same zeroth-order
-coefficient.  On a disk whose coefficients do not depend on the periodic
-angle, the factorization splits that same matrix into one block per angular
-frequency, so both ways of factoring solve one discretization.
+exact; boxes use node axes.  One stencil gives every sparse block of a
+solver, evaluated on the grid rows the block needs, and each solver factors
+once for every solve with the same zeroth-order coefficient.  On a disk whose
+coefficients do not depend on the periodic angle, it builds only the rows at
+angle 0 and factors one block per angular frequency; every other domain
+builds and factors the whole interior operator.  The blocks are bitwise
+slices of that operator, so both paths solve one discretization, and every
+factorization uses one symmetric fill-reducing ordering.
 
 ``direct_hierarchy_solve`` is the one multiple-fold linearization cascade,
 plain on one solver or exponentially conjugated on one solver per datum
@@ -96,19 +99,29 @@ class ProductDomain:
     def points(self):
         return self._chart(self.mesh)
 
+    @functools.cached_property
+    def dirichlet_points(self):
+        """``points()`` on the Dirichlet nodes only, in grid order."""
+        return self._chart([c[~self.interior] for c in self.mesh])
+
     def metric_at(self, coords):
         if self.gdiag is None:
             return np.ones((len(self.axes),) + np.shape(coords[0]))
         return np.asarray(self.gdiag(coords))
 
     def _build_boundary(self):
-        self.interior = np.ones(self.shape, dtype=bool)
-        for j, ax in enumerate(self.axes):
-            if ax.kind == "node":
-                if ax.dirichlet_lo:
-                    self.interior[(slice(None),) * j + (0,)] = False
-                if ax.dirichlet_hi:
-                    self.interior[(slice(None),) * j + (-1,)] = False
+        # node axes drop their Dirichlet end nodes, so the interior is a box
+        self.interior_box = [
+            np.arange(int(ax.kind == "node" and ax.dirichlet_lo),
+                      ax.n - int(ax.kind == "node" and ax.dirichlet_hi))
+            for ax in self.axes]
+        self.interior = np.zeros(self.shape, dtype=bool)
+        self.interior[np.ix_(*self.interior_box)] = True
+        # matrix numbers in grid order: interior nodes 0, 1, ... and
+        # Dirichlet nodes -1, -2, ...
+        inner = self.interior.ravel()
+        self.number = np.where(inner, np.cumsum(inner) - 1,
+                               -np.cumsum(~inner))
 
     def _build_quadrature(self):
         w = np.ones(self.shape)
@@ -205,14 +218,20 @@ class SchrodingerSolver:
     spectrum and conditioning match the unconjugated solve at any lam; a
     centered first-order term would instead drift like (lam^2 h)^2.
 
-    The operator is assembled once as one sparse matrix on every domain.
-    When the last axis is a periodic angle (at least three points) and no
-    coefficient depends on it, that matrix is block circulant: the rows at
-    angle 0 give the angle-0 block ``C0`` and the coupling ``C1`` to angle 1,
-    and angular frequency ``k`` sees ``C0 + 2 cos(2 pi k / nphi) C1``.  Solves
-    then run per frequency between FFTs over the angle, and frequencies
-    ``k`` and ``nphi - k`` share one factorization.  Every other domain
-    factors the whole interior matrix.
+    Every sparse block comes from one stencil (``_stencil``) evaluated on the
+    rows that block needs, so each is bitwise that block of the whole
+    operator.  When the last axis is a periodic angle (at least three points)
+    and no coefficient depends on it, the operator is block circulant: the
+    per-frequency path builds the rows at angle 0 only, giving the angle-0
+    block ``C0`` and the coupling ``C1`` to angle 1, and angular frequency
+    ``k`` sees ``C0 + 2 cos(2 pi k / nphi) C1``.  Solves then run per
+    frequency between FFTs over the angle, and frequencies ``k`` and
+    ``nphi - k`` share one factorization.  Every other domain (the general
+    path) builds and factors the whole interior operator ``_A_ii``; the
+    per-frequency path builds it only on its first ``apply``.  Both paths
+    build the interior-to-Dirichlet coupling ``_A_ib`` from the rows next to
+    the Dirichlet nodes, and every factorization uses one symmetric
+    fill-reducing ordering (the stencils are structurally symmetric).
 
     With ``W = sqrt(det g)`` on the diagonal, ``S(lam) = W A(lam)`` satisfies
     ``S(lam)^T = S(-lam)``: each x0 face couples ``i -> i+1`` by
@@ -230,12 +249,11 @@ class SchrodingerSolver:
                    else np.asarray(V1_field))
         self.lam = float(lam)
         self._trans = "N"           # "T" on factors of -lam (see mirror)
-        self._assemble()
         self._nphi = domain.axes[-1].n if self._fast_angle_possible() else 0
+        self._faces = self._cell_faces()
+        self._A_ib = self._boundary_coupling()
         if self._nphi:
-            ray = np.arange(self._A_ii.shape[0] // self._nphi) * self._nphi
-            rows = self._A_ii.tocsr()[ray]
-            C0, C1 = rows[:, ray], rows[:, ray + 1]
+            C0, C1 = self._angular_blocks()
             cos = np.cos(2.0 * np.pi * np.arange(self._nphi // 2 + 1)
                          / self._nphi)
             self._lus = [_factor(C0 + 2.0 * c * C1) for c in cos]
@@ -259,88 +277,152 @@ class SchrodingerSolver:
     def mirror(self):
         """The solver at ``-lam`` on this solver's factors.
 
-        It assembles its own ``-lam`` couplings (``apply`` and the boundary
-        terms read them) but factors nothing: a solve returns
-        ``W^-1 A(lam)^-T (W b)`` through the transposed factors.
+        It re-derives only its ``-lam`` coupling to the Dirichlet nodes
+        (``solve`` reads it; on a disk these are the x0 couplings, the only
+        ones that carry ``e^{+/-lam h}``) and factors nothing: a solve
+        returns ``W^-1 A(lam)^-T (W b)`` through the transposed factors.  An
+        interior operator this solver built for ``apply`` stays behind; the
+        twin builds its own at ``-lam`` when it needs one.
         """
         twin = copy.copy(self)
         twin.lam = -self.lam
         twin._trans = "T" if self._trans == "N" else "N"
-        twin._assemble()
+        twin.__dict__.pop("_A_ii", None)
+        twin._A_ib = twin._boundary_coupling()
         return twin
 
-    def _assemble(self):
+    def _cell_faces(self):
+        """(axis, cell index, face coupling, face points) per Dirichlet face
+        of a cell-centred axis."""
         dom = self.domain
-        shape = dom.shape
-        N = int(np.prod(shape))
-        gid = np.arange(N).reshape(shape)
-        rows, cols, vals = [], [], []
-        diag = np.zeros(shape)
-        # (cell index, face coupling, face points) per cell-centred face
-        self._faces = []
+        faces = []
+        for j, ax in enumerate(dom.axes):
+            if ax.kind != "cell":
+                continue
+            for side, active in ((0, ax.dirichlet_lo), (1, ax.dirichlet_hi)):
+                if not active:
+                    continue
+                coords, _, _ = dom.face_info(j, side)
+                dm = dom.metric_at(coords)
+                a_bnd = (np.sqrt(np.prod(dm, axis=0)) / dm[j]) \
+                    / (0.5 * ax.h ** 2)
+                faces.append((j, side * (ax.n - 1), a_bnd,
+                              dom.face_points(j, side)))
+        return faces
 
-        def add(rsel, csel, v):
-            rows.append(gid[rsel].ravel())
-            cols.append(gid[csel].ravel())
-            vals.append(np.broadcast_to(v, gid[rsel].shape).ravel())
+    def _stencil(self, box):
+        """The one stencil, on the rows ``np.ix_(*box)`` of the grid.
 
-        lam = self.lam
+        Returns the rows' grid ids, their diagonal and their couplings as
+        (row ids, column ids, values).  No value, nor the order in which a
+        diagonal sums its faces, depends on the box.
+        """
+        dom = self.domain
+        ix = np.ix_(*box)
+        gid = np.ravel_multi_index(ix, dom.shape)
+        W = dom.W[ix]
+        diag = np.zeros(W.shape)
+        couplings = []
         for j, ax in enumerate(dom.axes):
             A = dom.A[j]
-            sl_lo = (slice(None),) * j + (slice(0, -1),)
-            sl_hi = (slice(None),) * j + (slice(1, None),)
-            a_face = 0.5 * (A[sl_lo] + A[sl_hi]) / ax.h ** 2
-            # conjugation: row at x_i sees the neighbor value times
+            A_row = A[ix]
+            # conjugation: the row at x_i sees its neighbour times
             # e^{lam (x_j - x_i)}; only the x0 axis carries the factor
-            up = np.exp(lam * ax.h) if (j == 0 and lam != 0.0) else 1.0
-            dn = np.exp(-lam * ax.h) if (j == 0 and lam != 0.0) else 1.0
-            add(sl_lo, sl_hi, -a_face * up)
-            add(sl_hi, sl_lo, -a_face * dn)
-            diag[sl_lo] += a_face
-            diag[sl_hi] += a_face
-            lo = (slice(None),) * j + (0,)
-            hi = (slice(None),) * j + (-1,)
-            if ax.kind == "periodic":
-                a_wrap = 0.5 * (A[hi] + A[lo]) / ax.h ** 2
-                add(lo, hi, -a_wrap)
-                add(hi, lo, -a_wrap)
-                diag[lo] += a_wrap
-                diag[hi] += a_wrap
-            elif ax.kind == "cell":
-                for side, active in ((0, ax.dirichlet_lo),
-                                     (1, ax.dirichlet_hi)):
-                    if not active:
-                        continue
-                    coords, _, _ = dom.face_info(j, side)
-                    dm = dom.metric_at(coords)
-                    a_bnd = (np.sqrt(np.prod(dm, axis=0)) / dm[j]) \
-                        / (0.5 * ax.h ** 2)
-                    cell = lo if side == 0 else hi
-                    diag[cell] += a_bnd
-                    self._faces.append((cell, a_bnd,
-                                        dom.face_points(j, side)))
+            conj = j == 0 and self.lam != 0.0
+            # faces inside the axis first, then the periodic wrap
+            for step, wrap in ((1, False), (-1, False), (1, True),
+                               (-1, True)):
+                nb = ix[j] + step
+                beyond = ((nb < 0) | (nb >= ax.n)).ravel()
+                ok = beyond if wrap else ~beyond
+                if (wrap and ax.kind != "periodic") or not ok.any():
+                    continue
+                sel = (slice(None),) * j + (ok,)
+                nix = ix[:j] + (nb[sel] % ax.n,) + ix[j + 1:]
+                a = 0.5 * (A_row[sel] + A[nix]) / ax.h ** 2
+                diag[sel] += a
+                scale = np.exp(step * self.lam * ax.h) if conj else 1.0
+                couplings.append((gid[sel],
+                                  np.ravel_multi_index(nix, dom.shape),
+                                  -a * scale / W[sel]))
+            for jf, k, a_bnd, _ in self._faces:
+                on = box[j] == k
+                if jf == j and on.any():
+                    other = np.ix_(*(box[:j] + box[j + 1:]))
+                    diag[(slice(None),) * j + (on,)] += \
+                        np.expand_dims(a_bnd[other], j)
+        return gid, diag / W + self.V1[ix], couplings
 
-        diag = diag / dom.W + np.real_if_close(self.V1) * 1.0
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        Wflat = dom.W.ravel()
-        vals = (np.concatenate(vals) / Wflat[rows]).astype(complex)
-        if np.iscomplexobj(self.V1):
-            diag = diag.astype(complex) + (self.V1 - np.real_if_close(self.V1))
-        Afull = sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
-        Afull = Afull + sp.diags(np.ravel(diag).astype(complex))
+    def _coo(self, box):
+        """Triplets (row ids, column ids, values) of the rows in ``box``."""
+        gid, diag, couplings = self._stencil(box)
+        parts = [(gid, gid, diag)] + couplings
+        rows, cols, vals = (np.concatenate([np.ravel(p[i]) for p in parts])
+                            for i in range(3))
+        return rows, cols, vals.astype(complex)
 
-        keep = dom.interior.ravel()
-        self._A_ii = Afull[keep][:, keep].tocsc()
-        self._A_ib = Afull[keep][:, ~keep].tocsr()
+    @functools.cached_property
+    def _A_ii(self):
+        """The interior operator: the general path factors it, the
+        per-frequency path builds it only for ``apply``."""
+        num = self.domain.number
+        rows, cols, vals = self._coo(self.domain.interior_box)
+        rows, cols = num[rows], num[cols]
+        keep = cols >= 0
+        n = int(np.count_nonzero(self.domain.interior))
+        return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                             shape=(n, n)).tocsc()
+
+    def _angular_blocks(self):
+        """``C0`` and ``C1`` from the interior rows at angle 0, numbered by
+        their (x0, r) ray: interior number ``// nphi``."""
+        dom, nphi = self.domain, self._nphi
+        box = dom.interior_box[:-1] + [np.zeros(1, dtype=int)]
+        rows, cols, vals = self._coo(box)
+        ray, col = dom.number[rows] // nphi, dom.number[cols]
+        n = int(np.prod([len(b) for b in box]))
+
+        def block(angle):
+            keep = (cols % nphi == angle) & (col >= 0)
+            return sp.coo_matrix((vals[keep], (ray[keep], col[keep] // nphi)),
+                                 shape=(n, n)).tocsc()
+
+        return block(0), block(1)
+
+    def _boundary_coupling(self):
+        """``_A_ib``: the couplings of the interior rows next to each
+        Dirichlet node face to the nodes on it."""
+        dom = self.domain
+        rows, cols, vals = [], [], []
+        for j, ax in enumerate(dom.axes):
+            if ax.kind != "node":
+                continue
+            stride = int(np.prod(dom.shape[j + 1:]))
+            for end, active in ((0, ax.dirichlet_lo),
+                                (ax.n - 1, ax.dirichlet_hi)):
+                if not active:
+                    continue
+                box = list(dom.interior_box)
+                box[j] = np.array([1 if end == 0 else ax.n - 2])
+                r, c, v = self._coo(box)
+                face = c // stride % ax.n == end
+                rows.append(r[face])
+                cols.append(c[face])
+                vals.append(v[face])
+        num = dom.number
+        ni = int(np.count_nonzero(dom.interior))
+        rows, cols = num[np.concatenate(rows)], -num[np.concatenate(cols)] - 1
+        return sp.coo_matrix((np.concatenate(vals), (rows, cols)),
+                             shape=(ni, num.size - ni)).tocsr()
 
     def _face_term(self, bdata):
         """Interior rows of the operator's part on the cell-centred faces,
         for the Dirichlet datum ``bdata``."""
         dom = self.domain
         out = np.zeros(dom.shape, dtype=complex)
-        for cell, a_bnd, (x0f, xpf) in self._faces:
+        for j, k, a_bnd, (x0f, xpf) in self._faces:
             fv = np.asarray(bdata(x0f, xpf), dtype=complex)
+            cell = (slice(None),) * j + (k,)
             out[cell] -= a_bnd * fv / dom.W[cell]
         return out[dom.interior]
 
@@ -365,7 +447,8 @@ class SchrodingerSolver:
 
     def solve(self, F=None, bdata=None):
         """Solve with interior source ``F`` and Dirichlet datum ``bdata``
-        (a callable of (x0, xp)); returns the full-grid solution."""
+        (a callable of (x0, xp), evaluated on the Dirichlet nodes and the
+        cell-centred faces); returns the full-grid solution."""
         dom = self.domain
         rhs = np.zeros(dom.shape, dtype=complex)
         if F is not None:
@@ -373,10 +456,11 @@ class SchrodingerSolver:
         rhs = rhs[dom.interior]
         u = np.zeros(dom.shape, dtype=complex)
         if bdata is not None:
-            x0, xp = dom.points()
-            vals = np.asarray(bdata(x0, xp), dtype=complex)
-            u[~dom.interior] = np.broadcast_to(vals, dom.shape)[~dom.interior]
-            rhs = rhs - self._A_ib @ u[~dom.interior] - self._face_term(bdata)
+            x0, xp = dom.dirichlet_points
+            ub = np.broadcast_to(np.asarray(bdata(x0, xp), dtype=complex),
+                                 np.shape(x0))
+            u[~dom.interior] = ub
+            rhs = rhs - self._A_ib @ ub - self._face_term(bdata)
         u[dom.interior] = self._lu_solve(rhs)
         return u
 
@@ -393,9 +477,10 @@ class SchrodingerSolver:
 
 
 def _factor(M):
-    """Sparse LU of ``M``; a zero Dirichlet eigenvalue raises."""
+    """Sparse LU of ``M`` under a symmetric fill-reducing ordering (minimum
+    degree on ``M^T + M``); a zero Dirichlet eigenvalue raises."""
     try:
-        lu = splu(M.tocsc())
+        lu = splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise DirichletEigenvalue(str(exc))
     du = np.abs(lu.U.diagonal())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_bvp
 
 from beamlab.errors import DirichletEigenvalue, SmallDataViolated
@@ -173,7 +174,8 @@ class TestGreenOperators:
             F = np.sin(np.pi * X0) * (1 + Y1 * np.cos(Y2))
             V1 = V1 * np.ones(dom.shape)
             for lam in (3.0, -2.0):
-                mir = SchrodingerSolver(dom, V1_field=V1, lam=lam).mirror()
+                fwd = SchrodingerSolver(dom, V1_field=V1, lam=lam)
+                mir = fwd.mirror()
                 ref = SchrodingerSolver(dom, V1_field=V1, lam=-lam)
                 assert mir.lam == ref.lam and mir._nphi == ref._nphi == nphi
                 assert rel_diff(mir.solve(F=F), ref.solve(F=F)) <= 1e-12
@@ -182,14 +184,18 @@ class TestGreenOperators:
                 u = ref.solve(F=F, bdata=disk_datum)
                 assert rel_diff(mir.apply(u, bdata=disk_datum),
                                 ref.apply(u, bdata=disk_datum)) <= 1e-12
+                # an operator built for apply at lam stays with lam
+                fwd.apply(u)
+                assert rel_diff(fwd.mirror().apply(u, bdata=disk_datum),
+                                ref.apply(u, bdata=disk_datum)) <= 1e-12
                 # mirroring twice solves at lam again on the same factors
                 back = mir.mirror()
                 assert back.lam == lam and back._lus is mir._lus
-                assert rel_diff(back.solve(F=F),
-                                SchrodingerSolver(dom, V1_field=V1,
-                                                  lam=lam).solve(F=F)) <= 1e-12
+                assert rel_diff(back.solve(F=F), fwd.solve(F=F)) <= 1e-12
 
     def test_dirichlet_eigenvalue_guard(self):
+        # V1 = -mu with mu a Dirichlet eigenvalue: of the whole operator on a
+        # box, of the frequency-0 block on a disk
         from scipy.sparse.linalg import eigsh
         dom = box_domain((1.0, 1.0), (21, 21))
         s0 = SchrodingerSolver(dom)
@@ -197,6 +203,64 @@ class TestGreenOperators:
                      return_eigenvectors=False)[0]
         with pytest.raises(DirichletEigenvalue):
             SchrodingerSolver(dom, V1_field=-lam0 * np.ones(dom.shape))
+        disk = disk_cylinder_domain(make_chart("flat_disk", n=3,
+                                               params={"radius": 0.5}),
+                                    9, 6, 8)
+        C0, C1 = SchrodingerSolver(disk)._angular_blocks()
+        mu = np.linalg.eigvals((C0 + 2.0 * C1).toarray()).real.min()
+        with pytest.raises(DirichletEigenvalue):
+            SchrodingerSolver(disk, V1_field=-mu * np.ones(disk.shape))
+
+    def test_blocks_are_slices_of_the_whole_operator(self):
+        # C0, C1 and _A_ib come from the rows they need; the same stencil on
+        # every grid row gives the whole operator they must be cut from
+        flat = disk_cylinder_domain(make_chart("flat_disk", n=3,
+                                               params={"radius": 0.5}),
+                                    9, 6, 8)
+        cap = disk_cylinder_domain(make_chart("sphere_cap", n=3,
+                                              params={"cap_radius": 1.25}),
+                                   9, 6, 8)
+        for dom, V1 in ((flat, 0.4), (cap, 0.4), (flat, 0.4 + 0.3j)):
+            inner = dom.interior.ravel()
+            ray = np.flatnonzero(inner)[::8]
+            for lam in (0.0, 3.0, -2.0):
+                s = SchrodingerSolver(dom, V1_field=V1 * np.ones(dom.shape),
+                                      lam=lam)
+                rows, cols, vals = s._coo([np.arange(n) for n in dom.shape])
+                full = sp.coo_matrix((vals, (rows, cols)),
+                                     shape=(inner.size,) * 2).tocsr()
+                C0, C1 = s._angular_blocks()
+                for block, ref in ((C0, full[ray][:, ray]),
+                                   (C1, full[ray][:, ray + 1]),
+                                   (s._A_ib, full[inner][:, ~inner]),
+                                   (s._A_ii, full[inner][:, inner])):
+                    assert block.shape == ref.shape
+                    assert (block != ref).nnz == 0
+
+    def test_angular_path_builds_no_whole_operator(self):
+        dom = disk_cylinder_domain(make_chart("flat_disk", n=3,
+                                              params={"radius": 0.5}),
+                                   17, 12, 16)
+        X0, R, PHI = dom.mesh
+        F = np.sin(np.pi * X0) * (1 + R * np.cos(PHI))
+        V1 = 0.4 * np.ones(dom.shape)
+        sizes = []
+
+        def datum(x0, xp):
+            sizes.append(np.size(x0))
+            return disk_datum(x0, xp)
+
+        s = SchrodingerSolver(dom, V1_field=V1, lam=3.0)
+        mir = s.mirror()
+        u = s.solve(F=F, bdata=datum)
+        mir.solve(F=F, bdata=datum)
+        assert "_A_ii" not in s.__dict__ and "_A_ii" not in mir.__dict__
+        # the datum is read on the Dirichlet nodes and the rim faces only
+        rim = dom.face_points(1, 1)[0].size
+        assert sizes == [np.count_nonzero(~dom.interior), rim] * 2
+        ful = FullFactorization(dom, V1_field=V1, lam=3.0)
+        assert rel_diff(s.apply(u, bdata=disk_datum),
+                        ful.apply(u, bdata=disk_datum)) <= 1e-12
 
 
 class TestSemilinear:
