@@ -99,11 +99,6 @@ class ProductDomain:
     def points(self):
         return self._chart(self.mesh)
 
-    @functools.cached_property
-    def dirichlet_points(self):
-        """``points()`` on the Dirichlet nodes only, in grid order."""
-        return self._chart([c[~self.interior] for c in self.mesh])
-
     def metric_at(self, coords):
         if self.gdiag is None:
             return np.ones((len(self.axes),) + np.shape(coords[0]))
@@ -218,7 +213,7 @@ class SchrodingerSolver:
     spectrum and conditioning match the unconjugated solve at any lam; a
     centered first-order term would instead drift like (lam^2 h)^2.
 
-    Every sparse block comes from one stencil (``_stencil``) evaluated on the
+    Every sparse block comes from one stencil (``_coo``) evaluated on the
     rows that block needs, so each is bitwise that block of the whole
     operator.  When the last axis is a periodic angle (at least three points)
     and no coefficient depends on it, the operator is block circulant: the
@@ -310,19 +305,19 @@ class SchrodingerSolver:
                               dom.face_points(j, side)))
         return faces
 
-    def _stencil(self, box):
+    def _coo(self, box):
         """The one stencil, on the rows ``np.ix_(*box)`` of the grid.
 
-        Returns the rows' grid ids, their diagonal and their couplings as
-        (row ids, column ids, values).  No value, nor the order in which a
-        diagonal sums its faces, depends on the box.
+        Returns triplets (row ids, column ids, values): the rows' diagonal,
+        then their couplings.  No value, nor the order in which a diagonal
+        sums its faces, depends on the box.
         """
         dom = self.domain
         ix = np.ix_(*box)
         gid = np.ravel_multi_index(ix, dom.shape)
         W = dom.W[ix]
         diag = np.zeros(W.shape)
-        couplings = []
+        parts = []
         for j, ax in enumerate(dom.axes):
             A = dom.A[j]
             A_row = A[ix]
@@ -342,21 +337,16 @@ class SchrodingerSolver:
                 a = 0.5 * (A_row[sel] + A[nix]) / ax.h ** 2
                 diag[sel] += a
                 scale = np.exp(step * self.lam * ax.h) if conj else 1.0
-                couplings.append((gid[sel],
-                                  np.ravel_multi_index(nix, dom.shape),
-                                  -a * scale / W[sel]))
+                parts.append((gid[sel],
+                              np.ravel_multi_index(nix, dom.shape),
+                              -a * scale / W[sel]))
             for jf, k, a_bnd, _ in self._faces:
                 on = box[j] == k
                 if jf == j and on.any():
                     other = np.ix_(*(box[:j] + box[j + 1:]))
                     diag[(slice(None),) * j + (on,)] += \
                         np.expand_dims(a_bnd[other], j)
-        return gid, diag / W + self.V1[ix], couplings
-
-    def _coo(self, box):
-        """Triplets (row ids, column ids, values) of the rows in ``box``."""
-        gid, diag, couplings = self._stencil(box)
-        parts = [(gid, gid, diag)] + couplings
+        parts.insert(0, (gid, gid, diag / W + self.V1[ix]))
         rows, cols, vals = (np.concatenate([np.ravel(p[i]) for p in parts])
                             for i in range(3))
         return rows, cols, vals.astype(complex)
@@ -456,7 +446,7 @@ class SchrodingerSolver:
         rhs = rhs[dom.interior]
         u = np.zeros(dom.shape, dtype=complex)
         if bdata is not None:
-            x0, xp = dom.dirichlet_points
+            x0, xp = dom._chart([c[~dom.interior] for c in dom.mesh])
             ub = np.broadcast_to(np.asarray(bdata(x0, xp), dtype=complex),
                                  np.shape(x0))
             u[~dom.interior] = ub
