@@ -3,9 +3,11 @@
 The transversal chart is embedded in a flat torus (closed extension); its
 Laplacian eigenfunctions are explicit Fourier modes, so the conjugated solve
 factors per mode into two first-order symbol inversions ``S_a`` on the line,
-realized by padded FFTs.  A zeroth-order potential is absorbed by a fixed
-point loop around the free solve, which contracts once the free inverse gains
-its 1/lambda factor.
+realized by padded FFTs.  Both inversions run in one pass over fixed-size
+blocks of lines (about 1 MB of padded lines each), so the padded copies a
+solve holds do not grow with the number of modes.  A zeroth-order potential
+is absorbed by a fixed point loop around the free solve, which contracts
+once the free inverse gains its 1/lambda factor.
 """
 
 from __future__ import annotations
@@ -122,39 +124,22 @@ class EigenBasis:
 # one-dimensional symbol inverse
 # ---------------------------------------------------------------------------
 
-# zero padding of the line, as a multiple of the window; smallest
-# |lambda^2 - mu| on a retained mode; share of the source energy that the
-# discarded modes may carry; relative step and cap of the potential loop
-S_A_PAD, RESONANCE_MARGIN, ENERGY_CUT = 4, 1e-6, 1e-10
+# zero padding of the line, as a multiple of the window; bytes of padded
+# lines that s_a_apply transforms at a time; smallest |lambda^2 - mu| on a
+# retained mode; share of the source energy that the discarded modes may
+# carry; relative step and cap of the potential loop
+S_A_PAD, S_A_BLOCK_BYTES = 4, 2 ** 20
+RESONANCE_MARGIN, ENERGY_CUT = 1e-6, 1e-10
 SOLVE_TOL, SOLVE_MAXIT = 1e-10, 40
 
 
-def s_a_apply(h, dx, a):
-    """Inverse of (d/dx + a) on the line, restricted to the input window.
-
-    ``h`` holds line samples along axis 0 and ``a`` broadcasts against
-    ``h.shape[1:]``, one symbol parameter per line.  The lines are
-    transformed as rows (contiguous when ``h`` is the transpose of a row
-    block), zero-padded by the FFT length, and multiplied in place by their
-    transfer, built once per distinct parameter (the torus modes are
-    degenerate, so many lines share one) and gathered per line.  For kernels
-    that die out inside the padding the transfer is the inverse symbol
-    1/(i xi + a).  Slowly decaying kernels (|a| small, e.g. near-resonant
-    modes) would wrap under periodization, so their transfer is the
-    transform of exact cell integrals of the one-sided exponential kernel, a
-    linear convolution that reproduces the decaying line solution on the
-    window regardless of |a|.  The result has the layout of ``h``.
-    """
-    h = np.asarray(h, dtype=complex)
-    a = np.broadcast_to(a, h.shape[1:])
+def _transfers(a, n, dx):
+    """Transfer of (d/dx + a)^-1 on ``S_A_PAD n`` padded samples, one row
+    per distinct parameter of ``a``, and the row of each entry of ``a``."""
     if np.any(a == 0):
         raise ZeroSymbol("symbol parameter must be nonzero")
     a, line = np.unique(a, return_inverse=True)
-    n = h.shape[0]
     npad = S_A_PAD * n
-    # the kernel support (npad - n cells) and the signal (n cells) fit in the
-    # pad, so the circular product realizes the non-circular convolution
-    buf = np.fft.fft(np.moveaxis(h, 0, -1), npad)
     xi = 2.0 * np.pi * np.fft.fftfreq(npad, dx)
     transfer = 1j * xi + a[:, None]
     np.divide(1.0, transfer, out=transfer)
@@ -171,8 +156,55 @@ def s_a_apply(h, dx, a):
                      - np.exp(-b * (m * dx + dx / 2))) / (b * dx)
     np.put_along_axis(ker, (sign * m) % npad, sign * cells, axis=-1)
     transfer[conv] = np.fft.fft(ker) * dx
-    buf *= transfer[line]
-    return np.moveaxis(np.fft.ifft(buf, out=buf)[..., :n], -1, 0)
+    return transfer, line.ravel()
+
+
+def s_a_apply(h, dx, *a):
+    """Inverses of (d/dx + a) on the line, applied in turn, each restricted
+    to the input window.
+
+    ``h`` holds line samples along axis 0, and each factor ``a`` broadcasts
+    against ``h.shape[1:]``, one symbol parameter per line.  Each factor's
+    transfer is built once per call and per distinct parameter (the torus
+    modes are degenerate, so many lines share one) and gathered per line.
+    For kernels that die out inside the padding the transfer is the inverse
+    symbol 1/(i xi + a).  Slowly decaying kernels (|a| small, e.g.
+    near-resonant modes) would wrap under periodization, so their transfer
+    is the transform of exact cell integrals of the one-sided exponential
+    kernel, a linear convolution that reproduces the decaying line solution
+    on the window regardless of |a|.
+
+    The lines run through one reusable buffer of ``S_A_BLOCK_BYTES`` of
+    padded lines.  Per factor, a block zeroes its padding (the truncation to
+    the window), is transformed in place, multiplied by its transfers and
+    transformed back, and its window is then copied out.  Besides the result
+    and the transfer tables, a call holds three such blocks (the lines,
+    their gathered transfers and the FFT's working copy), whatever the
+    number of lines; each line's result does not depend on the block it
+    shares.  The result has the layout of ``h``.
+    """
+    h = np.asarray(h, dtype=complex)
+    n = h.shape[0]
+    npad = S_A_PAD * n
+    # the kernel support (npad - n cells) and the signal (n cells) fit in the
+    # pad, so the circular product realizes the non-circular convolution
+    tables = [_transfers(np.broadcast_to(ak, h.shape[1:]), n, dx) for ak in a]
+    rows = np.moveaxis(h, 0, -1).reshape(-1, n)
+    out = np.empty_like(rows)
+    block = max(1, S_A_BLOCK_BYTES // (16 * npad))
+    buf = np.empty((min(block, len(rows)), npad), dtype=complex)
+    gathered = np.empty_like(buf)
+    for start in range(0, len(rows), block):
+        stop = min(start + block, len(rows))
+        lines, t = buf[:stop - start], gathered[:stop - start]
+        lines[:, :n] = rows[start:stop]
+        for transfer, line in tables:
+            lines[:, n:] = 0.0
+            np.fft.fft(lines, out=lines)
+            lines *= np.take(transfer, line[start:stop], axis=0, out=t)
+            np.fft.ifft(lines, out=lines)
+        out[start:stop] = lines[:, :n]
+    return np.moveaxis(out.reshape(h.shape[1:] + (n,)), -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +247,13 @@ def _free_solve(Fw, grid, lam, basis, keep=None):
     swap = np.abs(a_small) > np.abs(a_big)
     a_big, a_small = np.where(swap, a_small, a_big), np.where(swap, a_big, a_small)
     # kept modes gathered once as contiguous (mode, x0) rows; s_a_apply
-    # takes lines along axis 0, so it is handed their transpose
+    # takes lines along axis 0, so it is handed their transpose.  Fhat's
+    # storage then takes the solution's modes, zero where discarded
     rows = np.moveaxis(Fhat, 0, -1)[keep]
-    Rhat = np.zeros_like(Fhat)
-    Rhat[:, keep] = -s_a_apply(s_a_apply(rows.T, grid.dx0, a_big),
-                               grid.dx0, a_small)
+    Rhat = Fhat
+    Rhat[:, ~keep] = 0.0
+    R = s_a_apply(rows.T, grid.dx0, a_big, a_small)
+    Rhat[:, keep] = np.negative(R, out=R)
     R = np.fft.ifftn(Rhat, axes=taxes)
     lost = float(np.sum(energy[~keep]) / total)
     return R, keep, lost

@@ -10,7 +10,8 @@ coefficients do not depend on the periodic angle, it builds only the rows at
 angle 0 and factors one block per angular frequency; every other domain
 builds and factors the whole interior operator.  The blocks are bitwise
 slices of that operator, so both paths solve one discretization, and every
-factorization uses one symmetric fill-reducing ordering.
+factorization uses one symmetric fill-reducing ordering.  Real coefficients
+give real factors.
 
 ``direct_hierarchy_solve`` is the one multiple-fold linearization cascade,
 plain on one solver or exponentially conjugated on one solver per datum
@@ -228,6 +229,13 @@ class SchrodingerSolver:
     the Dirichlet nodes, and every factorization uses one symmetric
     fill-reducing ordering (the stencils are structurally symmetric).
 
+    The conjugation factors e^{+/- lam h} are real, so the operator is real
+    unless ``V1`` is complex.  A real operator is factored in real
+    arithmetic, at half the storage of complex factors, and a solve takes
+    the real and imaginary parts of its complex right-hand side as two real
+    columns.  A complex ``V1`` (the paper's complex-valued potential) keeps
+    complex factors.
+
     With ``W = sqrt(det g)`` on the diagonal, ``S(lam) = W A(lam)`` satisfies
     ``S(lam)^T = S(-lam)``: each x0 face couples ``i -> i+1`` by
     ``-a e^{lam h}`` and ``i+1 -> i`` by ``-a e^{-lam h}`` with one face
@@ -310,7 +318,8 @@ class SchrodingerSolver:
 
         Returns triplets (row ids, column ids, values): the rows' diagonal,
         then their couplings.  No value, nor the order in which a diagonal
-        sums its faces, depends on the box.
+        sums its faces, depends on the box.  The values are real unless
+        ``V1`` is complex: the conjugation factors e^{+/-lam h} are real.
         """
         dom = self.domain
         ix = np.ix_(*box)
@@ -347,9 +356,8 @@ class SchrodingerSolver:
                     diag[(slice(None),) * j + (on,)] += \
                         np.expand_dims(a_bnd[other], j)
         parts.insert(0, (gid, gid, diag / W + self.V1[ix]))
-        rows, cols, vals = (np.concatenate([np.ravel(p[i]) for p in parts])
-                            for i in range(3))
-        return rows, cols, vals.astype(complex)
+        return tuple(np.concatenate([np.ravel(p[i]) for p in parts])
+                     for i in range(3))
 
     @functools.cached_property
     def _A_ii(self):
@@ -422,14 +430,15 @@ class SchrodingerSolver:
         if trans == "T":
             w = self.domain.W[self.domain.interior]
             rhs = w * rhs
+        real = not np.iscomplexobj(self.V1)
         if not self._nphi:
-            u = self._lus[0].solve(rhs, trans=trans)
+            u = _lu_apply(self._lus[0], rhs, trans, real)
         else:
             nphi = self._nphi
             rk = np.fft.fft(rhs.reshape(-1, nphi), axis=-1)
             for b, lu in enumerate(self._lus):
                 ks = [b] if b in (0, nphi - b) else [b, nphi - b]
-                rk[:, ks] = lu.solve(rk[:, ks], trans=trans)
+                rk[:, ks] = _lu_apply(lu, rk[:, ks], trans, real)
             u = np.fft.ifft(rk, axis=-1).ravel()
         return u / w if trans == "T" else u
 
@@ -468,7 +477,8 @@ class SchrodingerSolver:
 
 def _factor(M):
     """Sparse LU of ``M`` under a symmetric fill-reducing ordering (minimum
-    degree on ``M^T + M``); a zero Dirichlet eigenvalue raises."""
+    degree on ``M^T + M``), in the arithmetic of ``M``; a zero Dirichlet
+    eigenvalue raises."""
     try:
         lu = splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -478,6 +488,16 @@ def _factor(M):
         raise DirichletEigenvalue("pivot collapse: zero is a Dirichlet "
                                   "eigenvalue within resolution")
     return lu
+
+
+def _lu_apply(lu, b, trans, real):
+    """``lu.solve(b, trans)`` for a complex ``b`` (a vector or columns); on
+    real factors its real and imaginary parts are solved as real columns."""
+    if not real:
+        return lu.solve(b, trans=trans)
+    parts = np.stack([b.real, b.imag], axis=-1)
+    x = lu.solve(parts.reshape(len(b), -1), trans=trans).reshape(parts.shape)
+    return x[..., 0] + 1j * x[..., 1]
 
 
 # ---------------------------------------------------------------------------
@@ -661,43 +681,59 @@ def _partition_sum(Vk, w, slots):
     return acc
 
 
-def direct_hierarchy_solve(solver, V, fs):
+def direct_hierarchy_solve(solver, V, fs, units=0):
     """Top multilinear interaction term and its lower-order companion.
 
     Returns (L, H, w): ``P L = V_m prod_k (G f_k) + H`` with zero trace,
     ``w`` maps frozensets of datum slots to cascade solutions.  For two data
     the companion vanishes identically.
 
-    ``solver`` is one solver or one per datum (one domain and ``V1``).  A set
-    of data is solved at the sum of its solvers' ``lam``, since conjugations
-    multiply: solvers at ``lam_i`` give ``e^{-lam_S x0}`` times the plain
-    cascade on the data ``e^{lam_i x0} f_i``.  A ``-lam`` solver mirrors a
-    ``+lam`` one and any other ``lam`` is built once, on first need.  Slots
-    with one datum object and solver share their solutions; a set with no
-    source (coefficients vanishing on the grid count as absent) is zero.
+    ``V`` is the series, or its coefficient fields on the grid as a mapping
+    ``{k: V_k}``.  ``solver`` is one solver or one per datum (one domain and
+    ``V1``).  A set of data is solved at the sum of its solvers' ``lam``,
+    since conjugations multiply: solvers at ``lam_i`` give
+    ``e^{-lam_S x0}`` times the plain cascade on the data
+    ``e^{lam_i x0} f_i``.  A ``-lam`` solver mirrors a ``+lam`` one and any
+    other ``lam`` is built once, on first need.  Slots with one datum object
+    and solver share their solutions; a set with no source (coefficients
+    vanishing on the grid count as absent) is zero.
+
+    ``units`` more slots hold the unit datum at ``lam = 0``.  With ``V1 = 0``
+    the unit field solves it, so it needs no solve and no solver.
     """
-    m = len(fs)
+    m = len(fs) + units
     solvers = list(solver) if isinstance(solver, (list, tuple)) \
-        else [solver] * m
+        else [solver] * len(fs)
     base = solvers[0]
-    x0, xp = base.domain.points()
-    Vk = {k: f for k in range(2, m + 1) if k in V.coeffs
-          and np.any(f := np.asarray(V.eval_k(k, x0, xp)))}
+    if units and np.any(base.V1):
+        raise InvalidArgument("the unit field solves the unit datum only "
+                              "when V1 = 0")
+    lams = [s.lam for s in solvers] + [0.0] * units
+    if not isinstance(V, dict):
+        x0, xp = base.domain.points()
+        V = {k: V.eval_k(k, x0, xp) for k in range(2, m + 1)
+             if k in V.coeffs}
+    Vk = {k: f for k in range(2, m + 1)
+          if k in V and np.any(f := np.asarray(V[k]))}
     by_lam = {s.lam: s for s in reversed(solvers)}
 
     def solve_set(subset):
         if len(subset) == 1:
-            return solvers[subset[0]].solve(bdata=fs[subset[0]])
+            i = subset[0]
+            return (solvers[i].solve(bdata=fs[i]) if i < len(fs) else
+                    np.ones(base.domain.shape, dtype=complex))
         acc = _partition_sum(Vk, w, subset)
-        lam = sum(solvers[i].lam for i in subset)
+        lam = sum(lams[i] for i in subset)
         if acc is not None and lam not in by_lam:
             by_lam[lam] = (by_lam[-lam].mirror() if -lam in by_lam else
                            SchrodingerSolver(base.domain, V1_field=base.V1,
                                              lam=lam))
         return None if acc is None else by_lam[lam].solve(F=-acc)
 
-    cls = [next(j for j in range(m) if fs[j] is fs[i]
-                and solvers[j] is solvers[i]) for i in range(m)]
+    # unit slots form one class: the first of them
+    cls = [next(j for j in range(len(fs)) if fs[j] is fs[i]
+                and solvers[j] is solvers[i]) if i < len(fs) else len(fs)
+           for i in range(m)]
     shared, w = {}, {}
     for size in range(1, m + 1):
         for subset in itertools.combinations(range(m), size):

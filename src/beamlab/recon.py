@@ -23,7 +23,6 @@ from .errors import ModeMismatch
 from .geometry import FermiChart, trace_geodesic
 from .jacobi import (curvature_along, det_root_branch, epsilon_family,
                      real_pair, riccati_path)
-from .potentials import make_field
 from .raytransform import _simpson_weights, invert_j1_moments, invert_j2_point
 
 __all__ = [
@@ -494,10 +493,12 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, grid, nx0=96, nr=32,
     ``[g+, g+, g-]`` on solvers at ``(lam, lam, -lam)``, so every field
     carries its exponential growth analytically, and for m > 3 the unit
     datum ``m - 3`` times (at lam = 0), the normalizer of ``recover_vm``,
-    whose order checks it shares.  It pairs the cascade with the ``g-``
-    solution, subtracts the companion term and scales like the synthetic
-    route.  Returns ``(value, synthetic)``, the boundary datum and the
-    volume integral of the same discrete beams.
+    whose order checks it shares; its solution is the unit field, so it
+    takes no solve.  Each coefficient field is evaluated once on the disk
+    grid.  It pairs the cascade with the ``g-`` solution, subtracts the
+    companion term and scales like the synthetic route.  Returns
+    ``(value, synthetic)``, the boundary datum and the volume integral of
+    the same discrete beams.
 
     Raises ``ModeMismatch`` before any beam is built when a field would
     alias: the highest wavenumber k (lam, or 2 lam when a V_k with
@@ -513,30 +514,29 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, grid, nx0=96, nr=32,
         raise ModeMismatch("the boundary route is implemented on flat charts")
     dom = disk_cylinder_domain(chart, nx0, nr, nphi)
     x0g, xpg = dom.points()
+    # each field once on the disk grid: the sampling guard, the cascade and
+    # the volume integral share it
+    fields = {k: np.asarray(task.V.eval_k(k, x0g, xpg))
+              for k in range(1, task.m + 1)
+              if k in task.V.coeffs or k == task.m}
     # Nyquist: the beams carry wavenumber lam on both grids; a lower-order
     # source with both +lam factors feeds a 2 lam solve on the disk grid
-    lower = any(np.any(task.V.eval_k(k, x0g, xpg))
-                for k in range(2, task.m) if k in task.V.coeffs)
+    lower = any(np.any(f) for k, f in fields.items() if 2 <= k < task.m)
     _check_sampling("disk", "radial", chart.radius / nr,
                     2 * lam if lower else lam, lam)
     _check_sampling("cylinder", "torus", grid.dtrans, lam, lam)
     d = chart.trans_dim - 1
     gp, gm = bundle.cgo_pair(eps, task.N, task.delta, lam, sigma, grid)
 
-    V1f = task.V.eval_k(1, x0g, xpg) if 1 in task.V.coeffs else None
-    sol_plus = SchrodingerSolver(dom, V1_field=V1f, lam=+lam)
-    solvers = [sol_plus, sol_plus, sol_plus.mirror()]
-    data = [gp, gp, gm]
-    if task.m > 3:
-        solvers += [SchrodingerSolver(dom, lam=0.0)] * (task.m - 3)
-        data += [make_field("constant", value=1.0)] * (task.m - 3)
-    L, H, w = direct_hierarchy_solve(solvers, task.V, data)
+    sol_plus = SchrodingerSolver(dom, V1_field=fields.get(1), lam=+lam)
+    L, H, w = direct_hierarchy_solve([sol_plus, sol_plus, sol_plus.mirror()],
+                                     fields, [gp, gp, gm], units=task.m - 3)
     boundary, companion, _ = greens_pairing(dom, w[frozenset([2])], gm, L, H)
     value = lam ** (d / 2.0) * (boundary - companion)
 
     # volume route evaluated with the interpolated beam fields themselves,
     # so the comparison spans the whole discrete chain
-    volume = complex(np.sum(dom.quad * task.V.eval_k(task.m, x0g, xpg)
+    volume = complex(np.sum(dom.quad * fields[task.m]
                             * (gp(x0g, xpg) * gm(x0g, xpg)) ** 2))
     synthetic = lam ** (d / 2.0) * volume
     return value, synthetic

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from beamlab.cylinder import (S_A_PAD, EigenBasis, _fd_dx0, apply_conjugated,
-                              conjugated_solve, make_cylinder_grid, s_a_apply,
-                              sobolev_norm)
+from beamlab.cylinder import (S_A_BLOCK_BYTES, S_A_PAD, EigenBasis, _fd_dx0,
+                              apply_conjugated, conjugated_solve,
+                              make_cylinder_grid, s_a_apply, sobolev_norm)
 from beamlab.errors import NeumannDivergence, ResonantLambda, ZeroSymbol
 from beamlab.geometry import make_chart
 
@@ -48,15 +50,43 @@ class TestSA:
     def test_shared_transfers_match_per_line_calls(self):
         # repeated, negated and near-zero parameters (both transfer
         # branches): one transfer per distinct parameter, gathered per line,
-        # gives every line to the last bit of its own call
-        a = np.array([5.0, -5.0, 5.0, 0.01, -0.01, 0.01, 40.0, 5.0,
-                      0.3 + 2.0j, 0.3 + 2.0j, -0.01, 40.0])
+        # gives every line to the last bit of its own call.  The lines span
+        # two full blocks and a partial third, and two factors in one call
+        # give the nested single-factor calls to the last bit
+        block = S_A_BLOCK_BYTES // (16 * S_A_PAD * self.n)
+        lines = 2 * block + block // 2 + 1
+        a = np.resize([5.0, -5.0, 5.0, 0.01, -0.01, 0.01, 40.0, 5.0,
+                       0.3 + 2.0j, 0.3 + 2.0j, -0.01, 40.0], lines)
+        a2 = np.resize([-3.0, 0.02, 7.5, -0.02, 12.0 - 1.0j], lines)
         rng = np.random.default_rng(7)
         h = self.h[:, None] * (rng.standard_normal(a.shape)
                                + 1j * rng.standard_normal(a.shape))
         out = s_a_apply(h, self.dx, a)
+        both = s_a_apply(h, self.dx, a, a2)
+        assert np.array_equal(both, s_a_apply(out, self.dx, a2))
         for j in range(a.size):
             assert np.array_equal(out[:, j], s_a_apply(h[:, j], self.dx, a[j]))
+            assert np.array_equal(both[:, j],
+                                  s_a_apply(h[:, j], self.dx, a[j], a2[j]))
+
+    def test_memory_is_blocked(self):
+        # one call over 6,000 lines of 48 samples holds its result (4.6 MB),
+        # the transfer tables (a few distinct parameters here) and a few
+        # blocks of padded lines (1 MB each), not padded copies of every
+        # line (18 MB each)
+        rng = np.random.default_rng(11)
+        h = rng.standard_normal((48, 6000)) + 0j
+        a = rng.choice([25.0 + r for r in np.sqrt(np.arange(1.0, 50.0))],
+                       6000)
+        for factors in ((a,), (a, 2.0 - a)):
+            tracemalloc.start()
+            try:
+                out = s_a_apply(h, 0.01, *factors)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.shape == h.shape
+            assert peak <= h.nbytes + 6 * S_A_BLOCK_BYTES
 
     def test_single_mode_gain(self):
         # a pure oscillation is scaled by 1/|i xi0 + a|

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_bvp
 
-from beamlab.errors import DirichletEigenvalue, SmallDataViolated
+from beamlab.errors import (DirichletEigenvalue, InvalidArgument,
+                            SmallDataViolated)
 from beamlab.geometry import make_chart
 from beamlab.pde import (Axis, ProductDomain, SchrodingerSolver, box_domain,
                          direct_hierarchy_solve, disk_cylinder_domain,
@@ -195,6 +196,32 @@ class TestGreenOperators:
                                 SchrodingerSolver(dom, V1_field=V1,
                                                   lam=lam).solve(F=F)) \
                     <= 1e-12
+
+    def test_real_coefficients_give_real_factors(self):
+        # real or absent V1: real factors; complex V1: complex ones.  The
+        # real factors solve, and solve mirrored, as a complex factorization
+        # of the same matrix (V1 with a zero imaginary part) does
+        disk = disk_cylinder_domain(make_chart("flat_disk", n=3,
+                                               params={"radius": 0.5}),
+                                    17, 12, 16)
+        box = box_domain((1.0, 1.0, 1.0), (13, 11, 9))
+        for dom in (disk, box):
+            X0, Y1, Y2 = dom.mesh
+            F = np.sin(np.pi * X0) * (1 + Y1 * np.cos(Y2)) * (1 + 0.5j * X0)
+            V1 = 0.4 * np.ones(dom.shape)
+            for lam in (0.0, 3.0):
+                assert not np.iscomplexobj(
+                    SchrodingerSolver(dom, lam=lam)._lus[0].U.data)
+                assert np.iscomplexobj(SchrodingerSolver(
+                    dom, V1_field=V1 + 0.3j, lam=lam)._lus[0].U.data)
+                real = SchrodingerSolver(dom, V1_field=V1, lam=lam)
+                cplx = SchrodingerSolver(dom, V1_field=V1.astype(complex),
+                                         lam=lam)
+                assert not np.iscomplexobj(real._lus[0].U.data)
+                assert np.iscomplexobj(cplx._lus[0].U.data)
+                for a, b in ((real, cplx), (real.mirror(), cplx.mirror())):
+                    assert rel_diff(a.solve(F=F, bdata=disk_datum),
+                                    b.solve(F=F, bdata=disk_datum)) <= 1e-12
 
     def test_dirichlet_eigenvalue_guard(self):
         # V1 = -mu with mu a Dirichlet eigenvalue: of the whole operator on a
@@ -509,6 +536,9 @@ class TestConjugatedCascade:
         assert rel_diff(H, np.exp(-lam * X0) * H0) <= 1e-12
         # one datum object on one solver: its sets share one solution
         assert (w[frozenset([0, 2])] is w[frozenset([1, 2])]) == repeat
+        # the unit field solves the unit datum only without V1
+        with pytest.raises(InvalidArgument, match="V1 = 0"):
+            direct_hierarchy_solve([s, s, s.mirror()], V, fs, units=1)
 
 
 class TestPairingAndW:

@@ -577,7 +577,7 @@ class TestBoundaryRoute:
         # (coefficients, m, solves, solver builds)
         for coeffs, m, n_solve, n_build in [({3: P}, 3, 3, 1),
                                             ({2: V2fn, 3: P}, 3, 5, 3),
-                                            ({4: P}, 4, 4, 2)]:
+                                            ({4: P}, 4, 3, 1)]:
             counts.update(solve=0, build=0, cascade=0)
             run(coeffs, m)
             assert counts == {"solve": n_solve, "build": n_build,
