@@ -79,9 +79,11 @@ def make_field(kind, **kw):
     kinds:
       constant(value) | gaussian(amp, center, width) |
       bump(amp, center, width)            [compact support] |
-      cosine_x0(amp, freq, phase)          a(x') * trig profile in x0 |
+      cosine_x0(amp, freq, phase, width, center)  bump(x') * cos in x0 |
+      trig_gaussian(amp, freq, c0, c1, s1, width, center, support)
+          (c0 + c1 cos + s1 sin)(freq x0) * gaussian(x') [* bump taper] |
       poly_x0(coeffs)                      polynomial in x0 only
-    Multiplicative composition is available through 'product'.
+    Any other kind raises ``ConfigInvalid``.
     """
     if kind == "constant":
         val = complex(kw.get("value", 1.0))

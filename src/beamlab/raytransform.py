@@ -161,17 +161,31 @@ def normalization_integral(zeta, eps, n):
 # extrapolation helpers
 # ---------------------------------------------------------------------------
 
-def _neville_at_zero(x, y):
-    """Neville interpolation evaluated at 0 along the leading axis of ``y``,
-    each trailing column on its own; returns the diagonal sequence."""
-    x = np.asarray(x, dtype=float).reshape((-1,) + (1,) * (np.ndim(y) - 1))
-    p = np.array(y, dtype=complex)
-    diag = [p[0].copy()]
-    for level in range(1, len(x)):
-        lo, hi = x[:-level], x[level:]
-        p[:-level] = (hi * p[:-level] - lo * p[1:len(x) - level + 1]) / (hi - lo)
-        diag.append(p[0].copy())
-    return diag
+def _apply(w, data):
+    """``sum_i w[..., i] data[i]``, one row of ``data`` at a time, so each
+    trailing column's result is bitwise that of its own call."""
+    tail = (1,) * (np.ndim(data) - 1)
+    return sum(wi.reshape(wi.shape + tail) * row
+               for wi, row in zip(np.moveaxis(w, -1, 0), np.asarray(data)))
+
+
+def _fit(design, data):
+    """Least-squares parameters of ``design @ p = data`` and the largest
+    residual per column, with the rows of ``pinv(design)`` as weights; a
+    square design interpolates."""
+    rows, params = np.shape(design)
+    if rows < params:
+        raise InvalidArgument(f"fewer data rows ({rows}) than parameters ({params})")
+    p = _apply(np.linalg.pinv(design), data)
+    return p, np.max(np.abs(_apply(design, p) - data), axis=0)
+
+
+def _extrapolants(x, y):
+    """Values at 0 of the polynomials through the last 1, 2, ... (at most
+    J2_POINTS) nodes ``(x, y)``, each trailing column of ``y`` on its own."""
+    x, y = x[::-1][:J2_POINTS], y[::-1][:J2_POINTS]
+    return [_fit(np.vander(x[:k], k, increasing=True), y[:k])[0][0]
+            for k in range(1, len(x) + 1)]
 
 
 def _check_columns(value, bound, message):
@@ -184,8 +198,8 @@ def _check_columns(value, bound, message):
         raise NoConvergence(message.format(value[worst]) + where)
 
 
-# accepted relative spread and Neville depth of the second-kind limit; window
-# sizes and accepted spread of the first-kind split route
+# accepted relative spread of the second-kind limit, extrapolation depth of
+# both point limits; window sizes and accepted spread of the split route
 J2_RTOL, J2_POINTS = 0.25, 5
 SPLIT_ZETAS, SPLIT_RTOL = (0.4, 0.2, 0.1), 0.5
 
@@ -203,9 +217,7 @@ def invert_j2_point(oracle, eps_grid, zeta, n):
     J = np.array([oracle(e) for e in eps_grid], dtype=complex)
     N = np.array([normalization_integral(zeta, e, n) for e in eps_grid])
     est = J / N.reshape((-1,) + (1,) * (J.ndim - 1))
-    x = 1.0 / N
-    k = min(J2_POINTS, len(eps_grid))
-    diag = _neville_at_zero(x[-k:][::-1], est[-k:][::-1])
+    diag = _extrapolants(1.0 / N, est)
     value = diag[-1]
     incs = np.abs(np.diff(diag, axis=0))[-2:]
     err = incs.max(axis=0) if len(incs) else np.full(J.shape[1:], np.inf)
@@ -227,30 +239,26 @@ def invert_j1_point_split(oracle, eps_grid, f_check=None):
 
     Uses the conjugate split S_eps = J - conj(J) = 2i Im J; Im J / pi tends to
     f at the anchor.  The parameter limit runs per zeta over the sub-grid
-    eps < zeta / 2 and the small-window bias model a + C1 * zeta is fitted
+    eps <= zeta / 2 and the small-window bias model a + C1 * zeta is fitted
     across the zeta loop; the intercept is returned with a fitted bound.
     """
     if f_check is not None and np.max(np.abs(np.imag(f_check))) > 1e-12:
         raise NonRealInput("split route requires a real-valued integrand")
     eps_grid = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
     im = np.array([oracle(e) for e in eps_grid]).imag / math.pi
-    per_zeta = []
-    spreads = []
+    zs, vs, spreads = [], [], []
     for z in SPLIT_ZETAS:
         sub = eps_grid <= 0.5 * z
         if np.sum(sub) < 2:
             continue
-        diag = _neville_at_zero(eps_grid[sub][::-1][:5], im[sub][::-1][:5])
-        per_zeta.append((z, float(np.real(diag[-1]))))
-        spreads.append(abs(diag[-1] - diag[-2]) if len(diag) > 1 else 0.0)
-    if len(per_zeta) < 2:
+        diag = _extrapolants(eps_grid[sub], im[sub])
+        zs.append(z)
+        vs.append(float(diag[-1]))
+        spreads.append(abs(diag[-1] - diag[-2]))
+    if len(zs) < 2:
         raise NoConvergence("not enough (zeta, eps) resolution for the split route")
-    zs = np.array([z for z, _ in per_zeta])
-    vs = np.array([v for _, v in per_zeta])
-    A = np.column_stack([np.ones_like(zs), zs])
-    coef, *_ = np.linalg.lstsq(A, vs, rcond=None)
-    a, c1 = coef
-    resid = float(np.max(np.abs(A @ coef - vs)))
+    zs, vs = np.array(zs), np.array(vs)
+    (a, c1), resid = _fit(np.column_stack([np.ones_like(zs), zs]), vs)
     err = resid + float(np.mean(spreads)) + abs(c1) * float(np.min(zs)) * 0.5
     if np.mean(spreads) > SPLIT_RTOL * max(abs(a), 1e-12 + 0.01 * np.max(np.abs(vs))):
         raise NoConvergence("parameter-limit extrapolants failed to settle")
@@ -304,14 +312,10 @@ def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None):
         eps_grid = np.linspace(0.08, 0.9, 4 * (K_max + 1)) / xt_max
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
     J = np.array([oracle(e) for e in eps_grid], dtype=complex)
-    cols = J.shape[1:]
-    data = np.concatenate([J.real, J.imag]).reshape(2 * len(eps_grid), -1)
+    data = np.concatenate([J.real, J.imag])
 
     # the reconstruction is linear in the data, so each stage below maps the
-    # 2 n_eps real data coordinates; ``apply`` meets the data last, one row
-    # at a time, so a column's sums run in one order whatever its neighbours
-    def apply(op):
-        return sum(op[:, j, None] * row for j, row in enumerate(data))
+    # 2 n_eps real data coordinates; ``_apply`` meets the data last
 
     # stage (a): density rho = f X^{-1/2} in a Legendre basis fitted against
     # the exact weight family; moments are quadratures of the fit
@@ -356,10 +360,9 @@ def invert_j1_moments(oracle, X, Z, window, K_max=8, eps_grid=None):
     Xtd = (Zdo * Xo - Xdo * Zo) / Xo ** 2
     s_out = 2.0 * (Xto - lo) / (hi - lo) - 1.0
     g = L.legvander(np.clip(s_out, -1.0, 1.0), K_max) @ beta
-    f_rec = apply(g * (np.abs(Xtd) * np.sqrt(Xo))[:, None])
-    return GeodesicSample(t_out, f_rec.reshape((-1,) + cols),
-                          window=(ta, tb)), {
-        "moments": apply(M).reshape((-1,) + cols).tolist(),
+    f_rec = _apply(g * (np.abs(Xtd) * np.sqrt(Xo))[:, None], data)
+    return GeodesicSample(t_out, f_rec, window=(ta, tb)), {
+        "moments": _apply(M, data).tolist(),
         "condition": float(cond), "basis_size": nb,
         "eps_grid": eps_grid.tolist(),
     }

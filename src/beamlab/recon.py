@@ -7,7 +7,8 @@ a line integral against ``|det Y|^{-1}`` (three-or-more-fold interactions) or
 ``(det Y)^{-1/2}`` (two-fold interactions at doubled frequency), and the
 local transform inversions plus a trigonometric fit in the product variable
 produce the coefficient.  Limits are taken in a fixed order: frequency ladder
-first (fit a + b / sqrt(lambda)), then the family parameter, then the window.
+first (fit a + b / sqrt(lambda), plus c / lambda from four rungs), then the
+family parameter, then the window, each as weights applied row by row.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .errors import ModeMismatch
 from .geometry import FermiChart, trace_geodesic
 from .jacobi import (curvature_along, det_root_branch, epsilon_family,
                      real_pair, riccati_path)
-from .raytransform import _simpson_weights, invert_j1_moments, invert_j2_point
+from .raytransform import (_apply, _fit, _simpson_weights, invert_j1_moments,
+                           invert_j2_point)
 
 __all__ = [
     "ReconTask", "BeamBundle", "RecoveredPotential",
@@ -198,18 +200,14 @@ def lambda_extrapolate(lams, values):
     transversal-moment correction; the next order often dominates when the
     odd moments cancel.  ``values`` has one row per rung; with more axes,
     each column is fitted on its own and ``a`` and the residual are arrays
-    over the columns."""
+    over the columns.  Raises ``InvalidArgument`` with fewer rungs than
+    terms."""
     lams = np.asarray(lams, dtype=float)
-    vals = np.asarray(values, dtype=complex)
     cols = [np.ones_like(lams), lams ** -0.5]
     if len(lams) >= 4:
         cols.append(lams ** -1.0)
-    A = np.column_stack(cols)
-    flat = vals.reshape(len(lams), -1)
-    coef, *_ = np.linalg.lstsq(A, flat, rcond=None)
-    resid = np.max(np.abs(A @ coef - flat), axis=0)
-    shape = vals.shape[1:]
-    return coef[0].reshape(shape)[()], resid.reshape(shape)[()]
+    coef, resid = _fit(np.column_stack(cols), np.asarray(values, complex))
+    return coef[0][()], resid[()]
 
 
 def _calibration(bundle, Y, eps):
@@ -353,7 +351,7 @@ def fourier_synthesis(task, xi, data, nx0=97):
 
     The model spans the constant plus sin/cos at the registered frequencies;
     the design is the windowed transform of each basis function.  ``data``
-    has one row per xi; trailing axes are columns fitted in the same solve,
+    has one row per xi; trailing axes are columns sharing the fit's weights,
     and the profile's values are ``(nx0,)`` followed by the column shape.
     """
     a0, b0 = task.chart.interval
@@ -370,11 +368,8 @@ def fourier_synthesis(task, xi, data, nx0=97):
     D = (wq * np.exp(-1j * np.outer(xi, fine))) @ basis(fine)
     lam = 1e-10 * np.trace(np.real(D.conj().T @ D)) / D.shape[1]
     lhs = D.conj().T @ D + lam * np.eye(D.shape[1])
-    data = np.asarray(data, dtype=complex)
-    coef = np.linalg.solve(lhs, D.conj().T @ data.reshape(len(xi), -1))
-    vals = basis(x0g) @ coef
-    return (x0g, vals.reshape((nx0,) + data.shape[1:]),
-            coef.reshape((-1,) + data.shape[1:]))
+    coef = _apply(np.linalg.solve(lhs, D.conj().T), data)
+    return x0g, _apply(basis(x0g), coef), coef
 
 
 def _check_order(task):

@@ -9,9 +9,10 @@ from beamlab.jacobi import (ComplexJacobiField, curvature_along,
                             det_root_branch, epsilon_family, real_pair,
                             wronskian)
 from beamlab.pde import linearize_divided_difference
-from beamlab.raytransform import (GeodesicSample, TransformCurve,
-                                  invert_j1_moments, invert_j1_point_split,
-                                  invert_j2_point, j1_forward, j2_forward,
+from beamlab.raytransform import (J2_POINTS, GeodesicSample, TransformCurve,
+                                  _extrapolants, invert_j1_moments,
+                                  invert_j1_point_split, invert_j2_point,
+                                  j1_forward, j2_forward,
                                   normalization_integral)
 
 
@@ -46,6 +47,19 @@ def cap3():
     p = trace_geodesic(ch, [0.0, 0.0], [0.5, 0.0])
     K = curvature_along(p)
     return p, K
+
+
+def neville_at_zero(x, y):
+    """Reference: the diagonal of the Neville table at 0 along the leading
+    axis of ``y``, each trailing column on its own."""
+    x = np.asarray(x, dtype=float).reshape((-1,) + (1,) * (np.ndim(y) - 1))
+    p = np.array(y, dtype=complex)
+    diag = [p[0].copy()]
+    for level in range(1, len(x)):
+        lo, hi = x[:-level], x[level:]
+        p[:-level] = (hi * p[:-level] - lo * p[1:len(x) - level + 1]) / (hi - lo)
+        diag.append(p[0].copy())
+    return diag
 
 
 def quad_oracle(fn, a, b):
@@ -209,6 +223,39 @@ class TestInvertJ2:
             assert rep.estimate[i] == one.estimate
             assert rep.error_bound[i] == one.error_bound
 
+    def test_extrapolants_match_neville(self, cap3):
+        # the pinv weights of the square Vandermonde designs give the Neville
+        # table's diagonal: estimate and bound of the 3-column cap3 data
+        p, K = cap3
+        pair = real_pair(K, "point")
+        fs = [GeodesicSample.from_time_function(p, fn) for fn in (
+            lambda t: 3.0 * np.ones_like(t), np.cos,
+            lambda t: 1.0 + 0.4 * np.sin(1.3 * t + 0.4))]
+        eps = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+        J = np.array([[j2_forward(f, epsilon_family(K, e, pair=pair))
+                       for f in fs] for e in eps])
+        N = np.array([normalization_integral(0.4, e, 3) for e in eps])
+        rep = invert_j2_point(lambda e: J[eps.index(e)], eps, zeta=0.4, n=3)
+        diag = neville_at_zero((1.0 / N)[::-1], (J / N[:, None])[::-1])
+        scale = np.abs(diag[-1])
+        assert np.all(np.abs(rep.estimate - diag[-1]) <= 1e-12 * scale)
+        bound = np.max(np.abs(np.diff(diag, axis=0))[-2:], axis=0)
+        assert np.all(np.abs(rep.error_bound - bound) <= 1e-12 * scale)
+
+    def test_extrapolants_reproduce_polynomials(self):
+        # through k distinct nodes, data of a polynomial p of degree below k
+        # extrapolate to p(0) exactly, in every column
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.05, 0.5, J2_POINTS)
+        coef = rng.normal(size=(J2_POINTS, 3))
+        for deg in range(J2_POINTS):
+            y = np.vander(x, deg + 1, increasing=True) @ coef[:deg + 1]
+            diag = _extrapolants(x, y)
+            assert len(diag) == J2_POINTS
+            for k in range(deg + 1, J2_POINTS + 1):
+                assert np.all(np.abs(diag[k - 1] - coef[0])
+                              <= 1e-12 * np.max(np.abs(coef)))
+
     def test_unconverged_column_named(self):
         # one column outgrowing the normalization fails the whole table and
         # the message names it
@@ -339,9 +386,9 @@ class TestInvertJ1Moments:
         assert abs(orc(eps) - series) <= 1e-6
 
     def test_columns_match_per_column_calls(self):
-        # stacked columns share the design and both ridge solves; each column
-        # equals its own call (to 1e-12; the sums run in one order, so the
-        # match is exact)
+        # stacked columns share the design and both ridge solves; the
+        # operator meets the data one row at a time, so each column equals
+        # its own call bitwise
         p, X, Z, _ = self.make_route(lambda t: 0.0 * t)
         window = (p.tau_minus, p.tau_plus)
         fs = [GeodesicSample.from_time_function(p, fn) for fn in (
@@ -361,10 +408,8 @@ class TestInvertJ1Moments:
         for i in range(3):
             one, d1 = invert_j1_moments(lambda e: data[e][i], X, Z, window,
                                         K_max=8)
-            scale = np.max(np.abs(one.values))
-            assert np.max(np.abs(rec.values[:, i] - one.values)) <= 1e-12 * scale
-            m1 = np.asarray(d1["moments"])
-            assert np.max(np.abs(M[:, i] - m1)) <= 1e-12 * np.max(np.abs(m1))
+            np.testing.assert_array_equal(rec.values[:, i], one.values)
+            np.testing.assert_array_equal(M[:, i], np.asarray(d1["moments"]))
             assert diag["condition"] == d1["condition"]
 
     def test_non_monotone_guard(self):

@@ -7,7 +7,7 @@ from beamlab import cgo, geometry, jacobi, recon
 from beamlab.cgo import (PhaseJet, assemble_cgo, build_amplitude,
                          build_phase, quasimode_eval, tube_grid)
 from beamlab.cylinder import make_cylinder_grid
-from beamlab.errors import ModeMismatch
+from beamlab.errors import InvalidArgument, ModeMismatch
 from beamlab.geometry import FermiChart, make_chart
 from beamlab.jacobi import ComplexJacobiField
 from beamlab.potentials import PotentialSeries, make_field
@@ -106,6 +106,25 @@ class TestMoments:
         a, resid = lambda_extrapolate(lams, vals)
         assert abs(a - truth) <= 1e-10
         assert resid <= 1e-10
+        # one rung cannot fix the two terms a + b / sqrt(lambda): raise, naming
+        # both counts, rather than return a minimum-norm guess
+        with pytest.raises(InvalidArgument, match=r"rows \(1\).*\(2\)"):
+            lambda_extrapolate([80.0], [1.0])
+
+    def test_lambda_extrapolate_columns_match_per_column_calls(self):
+        # trailing axes are columns sharing the fit's weights; each equals
+        # its own call bitwise, for square (two rungs) and least-squares fits
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 4, 5):
+            lams = 80.0 * 2.0 ** np.arange(n)
+            vals = (rng.normal(size=(n, 2, 3))
+                    + 1j * rng.normal(size=(n, 2, 3)))
+            a, resid = lambda_extrapolate(lams, vals)
+            assert a.shape == resid.shape == (2, 3)
+            for i in range(2):
+                for j in range(3):
+                    a1, r1 = lambda_extrapolate(lams, vals[:, i, j])
+                    assert a[i, j] == a1 and resid[i, j] == r1
 
     def test_anchor_gauge_invariance(self, v3_setup):
         # rescaling the family anchor leaves the calibrated datum unchanged
@@ -359,7 +378,8 @@ class TestSynthesis:
 
 
     def test_columns_match_per_column_calls(self):
-        # trailing data axes are columns fitted in one solve
+        # trailing data axes are columns sharing the fit's weights, applied
+        # one data row at a time: each column is bitwise its own call
         ch = make_chart("flat_disk", n=3, interval=(0.0, 4.0))
         task = ReconTask(chart=ch, V=PotentialSeries({}), m=3, sigma0=4.0,
                          basis_freqs=(1.5, 2.5))
@@ -373,10 +393,8 @@ class TestSynthesis:
         for i in range(2):
             for j in range(3):
                 _, v1, c1 = fourier_synthesis(task, xi, data[:, i, j])
-                assert (np.max(np.abs(vals[:, i, j] - v1))
-                        <= 1e-12 * np.max(np.abs(v1)))
-                assert (np.max(np.abs(coef[:, i, j] - c1))
-                        <= 1e-12 * np.max(np.abs(c1)))
+                np.testing.assert_array_equal(vals[:, i, j], v1)
+                np.testing.assert_array_equal(coef[:, i, j], c1)
 
 
 class TestPipeline:
