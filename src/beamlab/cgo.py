@@ -79,10 +79,6 @@ class YJet:
     def scale(self, s):
         return YJet(self.m, self.order, {a: s * c for a, c in self.coeffs.items()})
 
-    def conj(self):
-        return YJet(self.m, self.order,
-                    {a: np.conj(c) for a, c in self.coeffs.items()})
-
     def mul(self, other, order=None):
         order = self.order if order is None else order
         out = {}
@@ -170,10 +166,8 @@ def _mat_inverse_jet(G, order, n):
 
 
 def _det_jet(G, order):
-    d = len(G)
-    if d == 1:
-        return G[0][0]
-    if d == 2:
+    """Determinant of a d x d metric jet, d = n - 1 in {2, 3}."""
+    if len(G) == 2:
         return G[0][0].mul(G[1][1], order).add(
             G[0][1].mul(G[1][0], order).scale(-1.0))
     det = None
@@ -734,18 +728,17 @@ def tube_grid(phase, width, ny1, ns):
 
 def _tube_norm(method, phase, amp, rho, sign, chart, p, ny1, nypp, nx0,
                fermi=None):
-    """(sum |f|^p vol wgt dx0 dy1)^(1/p) over I x tube, f the ``TubeBeam``
+    """(int |f|^p vol dx0 dy1 dy'')^(1/p) over I x tube, f the ``TubeBeam``
     method on the tube grid at ``amp.delta`` and a column of x0 nodes, with
-    the volume element of ``fermi`` (1 without it)."""
-    a0, b0 = chart.interval
+    the volume element of ``fermi`` (1 without it); trapezoid rule in x0
+    and y1."""
     y1, T, ypp, wgt = tube_grid(phase, amp.delta, ny1, nypp)
-    x0 = np.linspace(a0, b0, nx0)
+    x0 = np.linspace(*chart.interval, nx0)
     vals = method(TubeBeam(phase, amp, T, ypp), x0[:, None, None], rho, sign)
     vol = np.ones(T.shape) if fermi is None else fermi.forward(T, ypp)[1]
-    dy1 = y1[1] - y1[0]
-    dx0 = x0[1] - x0[0]
-    return float((np.sum(np.abs(vals) ** p * (vol * wgt[:, None])[None])
-                  * dx0 * dy1) ** (1.0 / p))
+    cross = np.sum(np.abs(vals) ** p * (vol * wgt[:, None])[None], axis=-1)
+    return float(np.trapezoid(np.trapezoid(cross, x0, axis=0), y1)
+                 ** (1.0 / p))
 
 
 def quasimode_lp_norm(phase, amp, rho, sign, chart, fermi=None, p=2,

@@ -34,7 +34,7 @@ class SingularAnchor(BeamlabError):
 
 
 class ConjugatePointHit(BeamlabError):
-    """det Y vanishes inside the requested window."""
+    """det Y vanishes on the sampled interval."""
 
 
 class BranchAmbiguity(BeamlabError):

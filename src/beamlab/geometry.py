@@ -312,14 +312,6 @@ class GeodesicPath:
     _vs = cached_property(lambda self: CubicSpline(self.t, self.v, axis=0))
     _es = cached_property(lambda self: CubicSpline(self.t, self.frame, axis=0))
 
-    @property
-    def tau_minus_ext(self):
-        return float(self.t[0])
-
-    @property
-    def tau_plus_ext(self):
-        return float(self.t[-1])
-
     def point(self, t):
         return self._xs(t)
 
@@ -585,6 +577,6 @@ class FermiChart:
         if np.linalg.norm(ypp) > self.delta_prime * (1 + 1e-9):
             raise OutsideTube(f"|y''| = {np.linalg.norm(ypp):.4g} "
                               f"exceeds tube radius {self.delta_prime}")
-        if not (path.tau_minus_ext - 1e-9 <= y1 <= path.tau_plus_ext + 1e-9):
+        if not (path.t[0] - 1e-9 <= y1 <= path.t[-1] + 1e-9):
             raise OutsideTube("axis coordinate outside the traced range")
         return float(y1), np.asarray(ypp)

@@ -103,14 +103,6 @@ class ComplexJacobiField:
     def det(self, t):
         return np.linalg.det(self._sy(np.asarray(t)))
 
-    def residual(self, K):
-        """Max norm of Y'' + K Y on the sample grid (second FD of samples)."""
-        h = np.diff(self.t)
-        hm = 0.5 * (h[:-1] + h[1:])
-        Ypp = (self.Y[2:] - 2 * self.Y[1:-1] + self.Y[:-2]) / hm[:, None, None] ** 2
-        res = Ypp + np.einsum("nij,njk->nik", K.K[1:-1], self.Y[1:-1])
-        return float(np.max(np.abs(res)))
-
     def to_csv(self, path):
         m = self.m
         cols = [self.t]
@@ -194,12 +186,12 @@ def real_pair(K, anchor="point", tau0=None):
     return X, Z
 
 
-def epsilon_family(K, eps, anchor="point", tau0=None, pair=None):
+def epsilon_family(K, eps, anchor="point", pair=None):
     """Admissible family ``Y = X - i eps Z`` anchored at the reconstruction
     point (``anchor="point"``) or at the extended entry time."""
     if eps <= 0:
         raise SingularAnchor("family parameter must be positive")
-    X, Z = pair if pair is not None else real_pair(K, anchor, tau0)
+    X, Z = pair if pair is not None else real_pair(K, anchor)
     Y = ComplexJacobiField(
         t=X.t, Y=X.Y - 1j * eps * Z.Y, Yd=X.Yd - 1j * eps * Z.Yd,
         tau0=X.tau0, Y0=X.Y0 - 1j * eps * Z.Y0, Y1=X.Y1 - 1j * eps * Z.Y1,
@@ -244,23 +236,20 @@ class RiccatiPath:
         return float(np.mean(self.c_cons))
 
 
-def riccati_path(Y, window=None):
-    """Riccati companion ``H = Y' Y^{-1}`` with the conserved quantity.
+def riccati_path(Y):
+    """Riccati companion ``H = Y' Y^{-1}`` with the conserved quantity, on
+    the whole sample grid of ``Y``.
 
-    Raises ``ConjugatePointHit`` when |det Y| collapses inside the window.
+    Raises ``ConjugatePointHit`` when |det Y| collapses on the grid.
     """
-    t, Ym, Yd = Y.t, Y.Y, Y.Yd
-    if window is not None:
-        sel = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
-        t, Ym, Yd = t[sel], Ym[sel], Yd[sel]
-    det = np.linalg.det(Ym)
+    det = np.linalg.det(Y.Y)
     scale = np.max(np.abs(det))
     if np.min(np.abs(det)) < 1e-12 * scale:
-        raise ConjugatePointHit("det Y vanishes inside the window")
-    H = np.einsum("nij,njk->nik", Yd, np.linalg.inv(Ym))
+        raise ConjugatePointHit("det Y vanishes on the sample grid")
+    H = np.einsum("nij,njk->nik", Y.Yd, np.linalg.inv(Y.Y))
     imH = (H - np.conj(np.swapaxes(H, 1, 2))) / 2j
     c = np.linalg.det(imH).real * np.abs(det) ** 2
-    return RiccatiPath(t=t.copy(), H=H, c_cons=c)
+    return RiccatiPath(t=Y.t.copy(), H=H, c_cons=c)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +287,11 @@ def conjugate_scan(K, anchor=0.0, window=None):
     return out
 
 
-def det_root_branch(Y, tgrid, anchor=None):
+def det_root_branch(Y, tgrid):
     """Continuous branch of ``(det Y)^{-1/2}`` along ``tgrid``.
 
-    The global sign is fixed at the anchor time through the principal matrix
+    The global sign is fixed at the anchor time ``Y.tau0`` (the nearest node
+    of ``tgrid``) through the principal matrix
     square root, ``w(tau0) = det(sqrtm(Y(tau0)))^{-1}``; for the standard
     families this reproduces the local model ``(t - i eps)^{-(m)}``-roots used
     by the inversion identities (e.g. ``+i/eps`` at the anchor when m = 2).
@@ -314,9 +304,7 @@ def det_root_branch(Y, tgrid, anchor=None):
         raise BranchAmbiguity("det Y collapses; branch continuation undefined")
     theta = np.unwrap(np.angle(det))
     w = np.abs(det) ** (-0.5) * np.exp(-0.5j * theta)
-    t0 = Y.tau0 if anchor is None else float(anchor)
-    t0 = min(max(t0, tgrid[0]), tgrid[-1])
-    i0 = int(np.argmin(np.abs(np.asarray(tgrid) - t0)))
+    i0 = int(np.argmin(np.abs(np.asarray(tgrid) - Y.tau0)))
     target = 1.0 / complex(np.linalg.det(sqrtm(Y.at(tgrid[i0]))))
     ratio = target / w[i0]
     sign = 1.0 if ratio.real >= 0 else -1.0

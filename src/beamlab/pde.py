@@ -166,13 +166,13 @@ def dirichlet_faces(domain):
     return out
 
 
-def box_domain(lengths, shape, metric=None):
+def box_domain(lengths, shape):
     """Flat box with node axes, Dirichlet on every face."""
     names = ["x0", "x1", "x2", "x3"]
     axes = [Axis(names[i], np.linspace(0.0, L, n), "node",
                  dirichlet_lo=True, dirichlet_hi=True)
             for i, (L, n) in enumerate(zip(lengths, shape))]
-    return ProductDomain(axes, gdiag=metric)
+    return ProductDomain(axes)
 
 
 def disk_cylinder_domain(chart, nx0, nr, nphi):
@@ -563,17 +563,14 @@ PICARD_TOL, PICARD_MAXIT = 1e-12, 80
 
 
 def solve_semilinear(solver, V, f, r0=0.5):
-    """Picard iteration around the linear solve for small Dirichlet data.
+    """Picard iteration around the linear solve for small Dirichlet data,
+    a callable ``f(x0, xp)``.
 
     Returns (u_full, info) with the contraction history recorded.
     """
     dom = solver.domain
     x0, xp = dom.points()
-    if callable(f):
-        fvals = np.asarray(f(x0, xp))
-        fmax = float(np.max(np.abs(fvals)))
-    else:
-        fmax = float(np.max(np.abs(f)))
+    fmax = float(np.max(np.abs(f(x0, xp))))
     if fmax > r0:
         raise SmallDataViolated(f"datum sup-norm {fmax:.3g} exceeds r0 = {r0}")
     base = solver.solve(bdata=f)
@@ -607,7 +604,7 @@ def solve_semilinear(solver, V, f, r0=0.5):
 # linearization cascade
 # ---------------------------------------------------------------------------
 
-def linearize_divided_difference(solver, V, fs, beta, h=1e-3, r0=0.5):
+def linearize_divided_difference(solver, V, fs, beta, h=1e-3):
     """Mixed centered divided differences of the solution map at zero data."""
     beta = tuple(int(b) for b in beta)
     if sum(beta) < 1 or max(beta) > 3:
@@ -626,7 +623,7 @@ def linearize_divided_difference(solver, V, fs, beta, h=1e-3, r0=0.5):
                 return np.zeros(np.broadcast(x0a,
                                              np.asarray(xp)[..., 0]).shape)
             return out
-        u, _ = solve_semilinear(solver, V, fcomb, r0=r0)
+        u, _ = solve_semilinear(solver, V, fcomb)
         return u
 
     def stencil(b):

@@ -78,8 +78,6 @@ def make_field(kind, **kw):
 
     kinds:
       constant(value) | gaussian(amp, center, width) |
-      bump(amp, center, width)            [compact support] |
-      cosine_x0(amp, freq, phase, width, center)  bump(x') * cos in x0 |
       trig_gaussian(amp, freq, c0, c1, s1, width, center, support)
           (c0 + c1 cos + s1 sin)(freq x0) * gaussian(x') [* bump taper] |
       poly_x0(coeffs)                      polynomial in x0 only
@@ -99,31 +97,6 @@ def make_field(kind, **kw):
             d2 = (np.asarray(x0) - center[0]) ** 2
             d2 = d2 + np.sum((xp - center[1:1 + xp.shape[-1]]) ** 2, axis=-1)
             return amp * np.exp(-d2 / width ** 2)
-        return fn
-    if kind == "bump":
-        amp = kw.get("amp", 1.0)
-        center = np.asarray(kw.get("center", (0.5, 0.0, 0.0)), dtype=float)
-        width = float(kw.get("width", 0.5))
-
-        def fn(x0, xp):
-            xp = np.asarray(xp)
-            d2 = (np.asarray(x0) - center[0]) ** 2
-            d2 = d2 + np.sum((xp - center[1:1 + xp.shape[-1]]) ** 2, axis=-1)
-            return amp * _smooth_bump(np.sqrt(d2) / width)
-        return fn
-    if kind == "cosine_x0":
-        amp = kw.get("amp", 1.0)
-        freq = float(kw.get("freq", 1.0))
-        phase = float(kw.get("phase", 0.0))
-        width = float(kw.get("width", 0.5))
-        center = np.asarray(kw.get("center", (0.0, 0.0)), dtype=float)
-
-        def fn(x0, xp):
-            xp = np.asarray(xp)
-            d2 = np.sum((xp - center[:xp.shape[-1]]) ** 2, axis=-1)
-            prof = _smooth_bump(np.sqrt(d2) / width)
-            return amp * prof * np.cos(freq * np.asarray(x0) + phase) \
-                * np.ones(np.broadcast(np.asarray(x0), d2).shape)
         return fn
     if kind == "trig_gaussian":
         # separable: trigonometric profile in x0 times a transversal gaussian

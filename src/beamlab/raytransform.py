@@ -137,14 +137,15 @@ def j2_forward(f, Y, window=None):
     return _forward(f, Y, window, lambda Y, t: np.abs(Y.det(t)) ** (-1.0))
 
 
-def forward_curve(f, family, eps_grid, kind="second", window=None):
-    """Evaluate a transform over a family parameter grid.
+def forward_curve(f, family, eps_grid, kind="second"):
+    """Evaluate a transform over a family parameter grid, on the window of
+    ``f``.
 
     ``family`` maps eps to an admissible Jacobi field.
     """
     eps_grid = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
     fwd = j1_forward if kind == "first" else j2_forward
-    vals = [fwd(f, family(e), window=window) for e in eps_grid]
+    vals = [fwd(f, family(e)) for e in eps_grid]
     return TransformCurve(eps=eps_grid, values=np.asarray(vals), kind=kind)
 
 
@@ -172,11 +173,13 @@ def _apply(w, data):
 def _fit(design, data):
     """Least-squares parameters of ``design @ p = data`` and the largest
     residual per column, with the rows of ``pinv(design)`` as weights; a
-    square design interpolates."""
+    square design interpolates, so its residual is ``inf`` (unknown)."""
     rows, params = np.shape(design)
     if rows < params:
         raise InvalidArgument(f"fewer data rows ({rows}) than parameters ({params})")
     p = _apply(np.linalg.pinv(design), data)
+    if rows == params:
+        return p, np.full(np.shape(data)[1:], np.inf)
     return p, np.max(np.abs(_apply(design, p) - data), axis=0)
 
 

@@ -22,10 +22,10 @@ from .cgo import (TubeBeam, assemble_cgo, build_amplitude, build_phase,
                   tube_grid)
 from .errors import ModeMismatch
 from .geometry import FermiChart, trace_geodesic
-from .jacobi import (curvature_along, det_root_branch, epsilon_family,
-                     real_pair, riccati_path)
-from .raytransform import (_apply, _fit, _simpson_weights, invert_j1_moments,
-                           invert_j2_point)
+from .jacobi import curvature_along, epsilon_family, real_pair, riccati_path
+from .raytransform import (GeodesicSample, _apply, _fit, _simpson_weights,
+                           invert_j1_moments, invert_j2_point, j1_forward,
+                           j2_forward)
 
 __all__ = [
     "ReconTask", "BeamBundle", "RecoveredPotential",
@@ -77,14 +77,14 @@ class BeamBundle:
     _cgo: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, chart, point=None, theta=None, h=2e-3, margin=None,
+    def build(cls, chart, point=None, theta=None, margin=None,
               anchor="point"):
         d = chart.trans_dim
         point = np.zeros(d) if point is None else np.asarray(point, float)
         theta = (np.eye(d)[0] if theta is None
                  else np.asarray(theta, dtype=float))
         theta = theta / chart.metric.norm(point, theta)
-        path = trace_geodesic(chart, point, theta, h=h, margin=margin)
+        path = trace_geodesic(chart, point, theta, h=2e-3, margin=margin)
         K = curvature_along(path)
         pair = real_pair(K, anchor)
         return cls(chart=chart, path=path, K=K, pair=pair, anchor=anchor)
@@ -200,8 +200,8 @@ def lambda_extrapolate(lams, values):
     transversal-moment correction; the next order often dominates when the
     odd moments cancel.  ``values`` has one row per rung; with more axes,
     each column is fitted on its own and ``a`` and the residual are arrays
-    over the columns.  Raises ``InvalidArgument`` with fewer rungs than
-    terms."""
+    over the columns.  Two rungs interpolate: the residual is inf.  Raises
+    ``InvalidArgument`` with fewer rungs than terms."""
     lams = np.asarray(lams, dtype=float)
     cols = [np.ones_like(lams), lams ** -0.5]
     if len(lams) >= 4:
@@ -271,29 +271,18 @@ def dn_moment_v2(task, bundle, eps, sigma, lams=None):
 
 
 def stationary_phase_oracle(task, bundle, eps, xi, kind="second"):
-    """Direct quadrature of the limiting line integral (no beams involved).
-
-    Computes ``int e^{xi t} F[field](xi, gamma(t)) w(t) dt`` where w is
-    ``|det Y|^{-1}`` or the branch root, and the product-variable transform
-    is a Simpson quadrature over the interval.
-    """
-    chart = bundle.chart
-    a0, b0 = chart.interval
-    path = bundle.path
-    Y = bundle.family(eps)
-    tt = np.linspace(path.tau_minus, path.tau_plus, 2001)
-    pts = path.point(tt)
-    x0 = np.linspace(a0, b0, 201)
-    wx0 = _simpson_weights(len(x0), x0[1] - x0[0])
-    fn = task.V.coeff(task.m)
-    fv = fn(x0[:, None], pts[None])
-    fhat = np.einsum("i,ij->j", wx0 * np.exp(-1j * xi * x0), fv)
-    if kind == "second":
-        w = np.abs(Y.det(tt)) ** -1.0
-    else:
-        w = det_root_branch(Y, tt)
-    wq = _simpson_weights(len(tt), tt[1] - tt[0])
-    return complex(np.sum(wq * np.exp(xi * tt) * fhat * w))
+    """The limiting line integral ``int e^{xi t} F[field](xi, gamma(t)) w(t)
+    dt`` (no beams involved): F the product-variable transform by Simpson
+    quadrature over the interval, the line integral ``j2_forward``
+    (``kind="second"``, w = ``|det Y|^{-1}``) or ``j1_forward`` (w the branch
+    of ``(det Y)^{-1/2}``) on the family at ``eps``."""
+    x0 = np.linspace(*bundle.chart.interval, 201)
+    wx0 = _simpson_weights(len(x0), x0[1] - x0[0]) * np.exp(-1j * xi * x0)
+    fn, path = task.V.coeff(task.m), bundle.path
+    f = GeodesicSample.from_time_function(path, lambda t: np.exp(xi * t) * (
+        wx0 @ fn(x0[:, None], path.point(t)[None])))
+    fwd = j2_forward if kind == "second" else j1_forward
+    return fwd(f, bundle.family(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +335,16 @@ class RecoveredPotential:
                    header="x0,t,m,Vm_re,Vm_im,err_est,truth_re,truth_im")
 
 
-def fourier_synthesis(task, xi, data, nx0=97):
+def fourier_synthesis(task, xi, data):
     """Least-squares trigonometric fit of the product-variable profile.
 
     The model spans the constant plus sin/cos at the registered frequencies;
     the design is the windowed transform of each basis function.  ``data``
     has one row per xi; trailing axes are columns sharing the fit's weights,
-    and the profile's values are ``(nx0,)`` followed by the column shape.
+    and the profile's values are ``(97,)`` followed by the column shape.
     """
     a0, b0 = task.chart.interval
-    x0g = np.linspace(a0, b0, nx0)
+    x0g = np.linspace(a0, b0, 97)
     fine = np.linspace(a0, b0, 801)
     wq = _simpson_weights(len(fine), fine[1] - fine[0])
 
@@ -495,8 +484,9 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, grid, nx0=96, nr=32,
     ``(value, synthetic)``, the boundary datum and the volume integral of
     the same discrete beams.
 
-    Raises ``ModeMismatch`` before any beam is built when a field would
-    alias: the highest wavenumber k (lam, or 2 lam when a V_k with
+    Raises ``ModeMismatch`` before any beam is built when the series has a
+    V1 term, which the cylinder beams do not solve with, or when a field
+    would alias: the highest wavenumber k (lam, or 2 lam when a V_k with
     2 <= k < m is nonzero on the disk grid) must satisfy k h < pi with h the
     torus spacing on the cylinder and the radial spacing on the disk.
     """
@@ -504,6 +494,9 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, grid, nx0=96, nr=32,
                       disk_cylinder_domain, greens_pairing)
 
     _check_order(task)
+    if 1 in task.V.coeffs:
+        raise ModeMismatch("the boundary route's cylinder beams solve the "
+                           "equation without V1; the series has a V1 term")
     chart = task.chart
     if not chart.metric.is_flat:
         raise ModeMismatch("the boundary route is implemented on flat charts")
@@ -512,18 +505,18 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, grid, nx0=96, nr=32,
     # each field once on the disk grid: the sampling guard, the cascade and
     # the volume integral share it
     fields = {k: np.asarray(task.V.eval_k(k, x0g, xpg))
-              for k in range(1, task.m + 1)
+              for k in range(2, task.m + 1)
               if k in task.V.coeffs or k == task.m}
     # Nyquist: the beams carry wavenumber lam on both grids; a lower-order
     # source with both +lam factors feeds a 2 lam solve on the disk grid
-    lower = any(np.any(f) for k, f in fields.items() if 2 <= k < task.m)
+    lower = any(np.any(f) for k, f in fields.items() if k < task.m)
     _check_sampling("disk", "radial", chart.radius / nr,
                     2 * lam if lower else lam, lam)
     _check_sampling("cylinder", "torus", grid.dtrans, lam, lam)
     d = chart.trans_dim - 1
     gp, gm = bundle.cgo_pair(eps, task.N, task.delta, lam, sigma, grid)
 
-    sol_plus = SchrodingerSolver(dom, V1_field=fields.get(1), lam=+lam)
+    sol_plus = SchrodingerSolver(dom, lam=+lam)
     L, H, w = direct_hierarchy_solve([sol_plus, sol_plus, sol_plus.mirror()],
                                      fields, [gp, gp, gm], units=task.m - 3)
     boundary, companion, _ = greens_pairing(dom, w[frozenset([2])], gm, L, H)

@@ -375,15 +375,32 @@ class TestRates:
         rho = complex(30.0, self.sigma)
         y1, T, ypp, wgt = tube_grid(ph, amp.delta, 41, 21)
         x0 = np.linspace(*ch.interval, 9)
+        # trapezoid weights in x0 and y1
+        wx0 = np.full(9, x0[1] - x0[0])
+        wy1 = np.full(41, y1[1] - y1[0])
+        wx0[[0, -1]] /= 2.0
+        wy1[[0, -1]] /= 2.0
         beam = TubeBeam(ph, amp, T, ypp)
         for sign in (+1, -1):
-            total = sum(np.sum(np.abs(beam.defect(np.full(T.shape, x), rho,
-                                                  sign)) ** 2 * wgt[:, None])
-                        for x in x0)
-            ref = np.sqrt(total * (x0[1] - x0[0]) * (y1[1] - y1[0]))
+            total = sum(w * np.sum(np.abs(beam.defect(np.full(T.shape, x),
+                                                      rho, sign)) ** 2
+                                   * (wgt * wy1)[:, None])
+                        for w, x in zip(wx0, x0))
+            ref = np.sqrt(total)
             got = conjugated_defect_norm(ph, amp, rho, sign, ch, ny1=41,
                                          nypp=21, nx0=9)
             assert abs(got - ref) <= 1e-13 * ref
+
+    def test_norm_independent_of_x0_nodes(self, flat_beam):
+        # the principal beam's modulus does not depend on x0, so the norm
+        # must not depend on the x0 node count; summing every node at full
+        # weight read 1.380 at nx0 = 3 and 1.131 at nx0 = 129
+        ch, p, K, Y = flat_beam
+        ph = build_phase(p, Y, N=2)
+        amp = build_amplitude(p, ph, Y, N_amp=0)
+        norms = [quasimode_lp_norm(ph, amp, complex(40.0, self.sigma), +1, ch,
+                                   nx0=nx0) for nx0 in (3, 5, 33, 129)]
+        np.testing.assert_allclose(norms, norms[0], rtol=1e-12)
 
     def test_minus_beam_pairing(self, flat_beam):
         # conjugate-phase beam from the same jets at sampled points

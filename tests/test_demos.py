@@ -5,12 +5,14 @@ every name it imports from beamlab must exist, and every keyword it passes to
 an imported function must be a parameter of that function.  The benchmark's
 workloads are checked the same way, including calls made through an imported
 module (``recon.recover_vm(...)``), and every layer its tracer wraps must
-resolve in the package.
+resolve in the package; the tracer is installed and uninstalled on the live
+package, and each workload's set-up runs.
 """
 
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,35 @@ def test_benchmark_tracer_layers_resolve():
         if not callable(obj):
             missing.append(f"{name}: {modname}.{attr}")
     assert not missing, f"traced layers missing from the package: {missing}"
+
+
+def _layer(modname, attr):
+    obj = importlib.import_module(modname)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_benchmark_tracer_installs_and_workloads_set_up():
+    # the tracer wraps every layer and puts every original back, and each
+    # workload builds its inputs against the package as it is
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        tracer = importlib.import_module("tracer")
+        workloads = importlib.import_module("workloads")
+        before = [_layer(mod, attr) for _, mod, attr in tracer.LAYERS]
+        tr = tracer.Tracer()
+        try:
+            tr.install()
+            during = [_layer(mod, attr) for _, mod, attr in tracer.LAYERS]
+        finally:
+            tr.uninstall()
+        after = [_layer(mod, attr) for _, mod, attr in tracer.LAYERS]
+        assert all(d is not b for d, b in zip(during, before))
+        assert all(a is b for a, b in zip(after, before))
+        for setup, _, _, _ in workloads.WORKLOADS.values():
+            setup()
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+        for name in ("tracer", "workloads"):
+            sys.modules.pop(name, None)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from beamlab.errors import (BeamlabError, InvalidArgument, NoConvergence,
-                            NonMonotone, NonRealInput)
+from beamlab.errors import (BeamlabError, IllConditioned, InvalidArgument,
+                            NoConvergence, NonMonotone, NonRealInput)
 from beamlab.geometry import make_chart, trace_geodesic
 from beamlab.jacobi import (ComplexJacobiField, curvature_along,
                             det_root_branch, epsilon_family, real_pair,
@@ -332,6 +332,13 @@ class TestInvertJ1Moments:
         rec, diag = invert_j1_moments(orc, X, Z, (p.tau_minus, p.tau_plus))
         assert np.max(np.abs(rec.values)) <= 1e-10
         assert np.max(np.abs(diag["moments"])) <= 1e-10
+
+    def test_condition_cap_raises(self):
+        # criterion 5's data one moment past its K_max = 8: the density
+        # design's condition number, 1.75e15, is past MOMENT_COND_CAP
+        p, X, Z, orc = self.make_route(lambda t: np.exp(-t * t))
+        with pytest.raises(IllConditioned, match="condition number 1.7"):
+            invert_j1_moments(orc, X, Z, (p.tau_minus, p.tau_plus), K_max=9)
 
     def test_flat_ratio_decreasing(self):
         p, X, Z, _ = self.make_route(lambda t: 0.0 * t)

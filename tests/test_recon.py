@@ -110,6 +110,10 @@ class TestMoments:
         # both counts, rather than return a minimum-norm guess
         with pytest.raises(InvalidArgument, match=r"rows \(1\).*\(2\)"):
             lambda_extrapolate([80.0], [1.0])
+        # two rungs determine a + b / sqrt(lambda) exactly: the residual of
+        # an interpolating fit is unknown, not zero
+        a, resid = lambda_extrapolate([80.0, 160.0], [1.0, 2.0])
+        assert np.isfinite(a) and resid == np.inf
 
     def test_lambda_extrapolate_columns_match_per_column_calls(self):
         # trailing axes are columns sharing the fit's weights; each equals
@@ -570,6 +574,17 @@ class TestBoundaryRoute:
         assert abs(val4q - val4) <= 0.01 * abs(val4)
         with pytest.raises(ModeMismatch, match="normalizer"):
             run({1: make_field("constant", value=0.3), 4: P}, 4)
+
+    def test_v1_refused_before_any_beam(self, coarse_route, monkeypatch):
+        # the cylinder beams solve the equation without V1, so the boundary
+        # datum moved with V1 while the volume value stayed put
+        def no_beams(*args, **kwargs):
+            raise AssertionError("a beam was built")
+
+        monkeypatch.setattr(recon, "assemble_cgo", no_beams)
+        P, _, run = coarse_route
+        with pytest.raises(ModeMismatch, match="V1"):
+            run({1: make_field("constant", value=0.3), 3: P}, 3)
 
     def test_cascade_traffic(self, coarse_route, monkeypatch):
         # one cascade per call; -lambda solves on the mirrored +lambda
