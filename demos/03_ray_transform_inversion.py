@@ -47,8 +47,7 @@ K3 = curvature_along(path3)
 X, Z = real_pair(K3, "entry")
 f3 = GeodesicSample.from_time_function(path3, lambda t: np.exp(-t * t))
 orc3 = lambda e: j1_forward(f3, epsilon_family(K3, e, anchor="entry",
-                                               pair=(X, Z)),
-                            window=(path3.tau_minus, path3.tau_plus))
+                                               pair=(X, Z)))
 rec, diag = invert_j1_moments(orc3, X, Z,
                               (path3.tau_minus, path3.tau_plus), K_max=8)
 truth3 = np.exp(-rec.t ** 2)

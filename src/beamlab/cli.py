@@ -149,8 +149,7 @@ def task_invert(cfg, chart, outdir):
     if route == "j1_moments":
         X, Z = real_pair(K, "entry")
         orc = lambda e: j1_forward(f, epsilon_family(K, e, anchor="entry",
-                                                     pair=(X, Z)),
-                                   window=f.window)
+                                                     pair=(X, Z)))
         rec, diag = invert_j1_moments(orc, X, Z, f.window,
                                       K_max=int(block.get("K_max", 8)))
         data = np.column_stack([rec.t, rec.values.real])

@@ -21,7 +21,7 @@ from .errors import NeumannDivergence, ResonantLambda, ZeroSymbol
 __all__ = [
     "CylinderGrid", "EigenBasis", "SolveReport",
     "torus_length", "make_cylinder_grid", "s_a_apply", "conjugated_solve",
-    "apply_conjugated", "sobolev_norm",
+    "apply_conjugated",
 ]
 
 
@@ -90,26 +90,17 @@ def make_cylinder_grid(chart, nx0=128, ntrans=64):
 
 
 class EigenBasis:
-    """Explicit Laplace eigenpairs of the flat torus extension."""
+    """Laplace eigenpairs of the flat torus extension, indexed as the
+    transversal FFT's modes: mode ``index`` is ``exp(i omega[index] . x')``
+    over the square root of the torus volume, with eigenvalue
+    ``mu[index] = |omega[index]|^2``."""
 
     def __init__(self, grid):
-        self.grid = grid
-        self.lengths = grid.lengths
         ks = [2.0 * np.pi * np.fft.fftfreq(len(ax), ax[1] - ax[0])
               for ax in grid.trans_axes]
         mesh = np.meshgrid(*ks, indexing="ij")
         self.omega = np.stack(mesh, axis=-1)
         self.mu = np.sum(self.omega ** 2, axis=-1)
-
-    @property
-    def volume(self):
-        return float(np.prod(self.lengths))
-
-    def psi(self, index, points):
-        """Orthonormal eigenfunction for a mode multi-index at chart points."""
-        om = self.omega[tuple(index)]
-        phase = np.einsum("...d,d->...", np.asarray(points), om)
-        return np.exp(1j * phase) / np.sqrt(self.volume)
 
     def eigenvalue(self, index):
         return float(self.mu[tuple(index)])
@@ -279,11 +270,6 @@ def _add_x0_stencil(out, u, c):
     return out
 
 
-def _fd_dx0(u, dx, order=1):
-    """Sixth-order centered x0 derivatives (valid away from the ends)."""
-    return _add_x0_stencil(np.zeros_like(u), u, _fd_weights(dx, order))
-
-
 def apply_conjugated(R, grid, lam, V1_field=None):
     """Apply the conjugated operator with FD in x0 and spectral transversal
     derivatives; independent of the per-mode construction path.
@@ -352,22 +338,3 @@ def conjugated_solve(F, grid, lam, V1_field=None):
                          discarded_energy=lost)
     return R, report
 
-
-def sobolev_norm(u, grid, k=0):
-    """Discrete H^k norm on the physical window (FD in x0, spectral in x')."""
-    mask = grid.physical_mask()
-    taxes = tuple(range(1, u.ndim))
-    basis = EigenBasis(grid)
-    total = 0.0
-    term = u
-    for j in range(k + 1):
-        total += float(np.sum(np.abs(term[mask]) ** 2))
-        if j == k:
-            break
-        # one more derivative order: x0 by FD, transversal spectrally
-        dx0 = _fd_dx0(term, grid.dx0, 1)
-        tgrad = np.fft.ifftn(np.sqrt(basis.mu)[None]
-                             * np.fft.fftn(term, axes=taxes), axes=taxes)
-        term = dx0 + 1j * tgrad
-    cell = grid.dx0 * np.prod([ax[1] - ax[0] for ax in grid.trans_axes])
-    return np.sqrt(total * cell)

@@ -197,7 +197,8 @@ def make_chart(kind, n=3, interval=(0.0, 1.0), params=None):
         metric = _bump_metric(d, amp, width, np.asarray(center, dtype=float))
         params.update({"amp": amp, "width": width, "center": list(center)})
     else:
-        raise ConfigInvalid("geometry.kind", f"unknown kind {kind!r}")
+        raise ConfigInvalid("geometry.kind", "must be flat_disk|sphere_cap|"
+                            f"conformal_disk, got {kind!r}")
     return CtaChart(kind=kind, n=n, interval=(float(interval[0]), float(interval[1])),
                     metric=metric, radius=radius, extension_margin=margin,
                     tube_radius=delta_p, params=params)
@@ -207,16 +208,13 @@ def chart_from_config(cfg):
     """Build a chart from the ``geometry`` block of an experiment config."""
     if not isinstance(cfg, dict):
         raise ConfigInvalid("geometry", "expected an object")
-    kind = cfg.get("kind")
-    if kind not in ("flat_disk", "sphere_cap", "conformal_disk"):
-        raise ConfigInvalid("geometry.kind",
-                            f"must be flat_disk|sphere_cap|conformal_disk, got {kind!r}")
     n = cfg.get("n", 3)
     interval = cfg.get("interval", [0.0, 1.0])
     if not (isinstance(interval, (list, tuple)) and len(interval) == 2
             and interval[0] < interval[1]):
         raise ConfigInvalid("geometry.interval", "expected [a0, b0] with a0 < b0")
-    return make_chart(kind, n=n, interval=tuple(interval), params=cfg.get("params"))
+    return make_chart(cfg.get("kind"), n=n, interval=tuple(interval),
+                      params=cfg.get("params"))
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,6 @@ class CurvaturePath:
     def at(self, t):
         return self._spl(t)
 
-    def symmetry_defect(self):
-        return float(np.max(np.abs(self.K - np.swapaxes(self.K, 1, 2))))
-
 
 def curvature_along(path):
     """Frame-projected tidal operator ``K_ab(t)`` along a traced geodesic,
@@ -220,9 +217,6 @@ class RiccatiPath:
 
     def at(self, t):
         return self._spl(t)
-
-    def symmetry_defect(self):
-        return float(np.max(np.abs(self.H - np.swapaxes(self.H, 1, 2))))
 
     def min_im_eig(self):
         imH = (self.H - np.conj(np.swapaxes(self.H, 1, 2))) / 2j

@@ -18,9 +18,9 @@ __all__ = ["PotentialSeries", "make_field", "field_from_config"]
 class PotentialSeries:
     """Taylor coefficients of the nonlinearity as closed-form callables."""
 
-    def __init__(self, coeffs, kmax=None):
+    def __init__(self, coeffs):
         self.coeffs = dict(coeffs)
-        self.kmax = max(self.coeffs) if kmax is None and self.coeffs else (kmax or 0)
+        self.kmax = max(self.coeffs, default=0)
 
     def coeff(self, k):
         fn = self.coeffs.get(k)
@@ -48,15 +48,6 @@ class PotentialSeries:
         """V(x,z) - V_1(x) z, the superlinear part."""
         lin = self.eval_k(1, x0, xp) * np.asarray(z) if 1 in self.coeffs else 0.0
         return self.value(x0, xp, z) - lin
-
-    def replace(self, k, fn):
-        coeffs = dict(self.coeffs)
-        coeffs[k] = fn
-        return PotentialSeries(coeffs, kmax=max(self.kmax, k))
-
-    def scaled(self, k, factor):
-        fn = self.coeff(k)
-        return self.replace(k, lambda x0, xp: factor * fn(x0, xp))
 
 
 # ---------------------------------------------------------------------------

@@ -109,11 +109,11 @@ def _simpson_weights(n, h):
     return w * h / 3.0
 
 
-def _forward(f, Y, window, weight):
-    """Integral of ``f * weight(Y, t)`` over the window: composite Simpson
-    in u on ``t = center + scale sinh(u)``, centred where ``|det Y|`` is
-    least with a quarter of its m-th root there as the scale."""
-    a, b = f.window if window is None else window
+def _forward(f, Y, weight):
+    """Integral of ``f * weight(Y, t)`` over the window of ``f``: composite
+    Simpson in u on ``t = center + scale sinh(u)``, centred where ``|det Y|``
+    is least with a quarter of its m-th root there as the scale."""
+    a, b = f.window
     tt = np.linspace(a, b, 2001)
     d = np.abs(Y.det(tt))
     i = int(np.argmin(d))
@@ -127,14 +127,14 @@ def _forward(f, Y, window, weight):
     return complex(np.sum(_simpson_weights(len(u), u[1] - u[0]) * vals))
 
 
-def j1_forward(f, Y, window=None):
-    """First-kind transform: integral of f (det Y)^{-1/2} over the window."""
-    return _forward(f, Y, window, det_root_branch)
+def j1_forward(f, Y):
+    """First-kind transform: integral of f (det Y)^{-1/2} over f.window."""
+    return _forward(f, Y, det_root_branch)
 
 
-def j2_forward(f, Y, window=None):
-    """Second-kind transform: integral of f |det Y|^{-1} over the window."""
-    return _forward(f, Y, window, lambda Y, t: np.abs(Y.det(t)) ** (-1.0))
+def j2_forward(f, Y):
+    """Second-kind transform: integral of f |det Y|^{-1} over f.window."""
+    return _forward(f, Y, lambda Y, t: np.abs(Y.det(t)) ** (-1.0))
 
 
 def forward_curve(f, family, eps_grid, kind="second"):

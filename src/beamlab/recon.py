@@ -31,7 +31,7 @@ __all__ = [
     "ReconTask", "BeamBundle", "RecoveredPotential",
     "prepare_bundle", "dn_moment_v3", "dn_moment_v2", "lambda_extrapolate",
     "recover_vm", "recover_v2", "stationary_phase_oracle",
-    "fourier_synthesis", "full_dn_moment_v3", "sensitivity_report",
+    "fourier_synthesis", "full_dn_moment_v3",
 ]
 
 
@@ -529,19 +529,3 @@ def full_dn_moment_v3(task, bundle, eps, sigma, lam, grid, nx0=96, nr=32,
     synthetic = lam ** (d / 2.0) * volume
     return value, synthetic
 
-
-def sensitivity_report(task, bundle, eps, sigma, lam, corruption=0.10,
-                       **grid_kw):
-    """Shift of the boundary-route datum under a corrupted known coefficient.
-
-    Runs the m = 3 pairing with the registered quadratic coefficient and with
-    a scaled copy; reports both data and the induced relative shift, which a
-    driver must surface rather than absorb.
-    """
-    base, _ = full_dn_moment_v3(task, bundle, eps, sigma, lam, **grid_kw)
-    task_bad = ReconTask(**{**task.__dict__,
-                            "V": task.V.scaled(2, 1.0 + corruption)})
-    bad, _ = full_dn_moment_v3(task_bad, bundle, eps, sigma, lam, **grid_kw)
-    shift = abs(bad - base) / max(abs(base), 1e-300)
-    return {"base": base, "corrupted": bad, "relative_shift": float(shift),
-            "corruption": corruption}

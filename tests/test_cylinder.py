@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from beamlab.cylinder import (S_A_BLOCK_BYTES, S_A_PAD, EigenBasis, _fd_dx0,
-                              apply_conjugated, conjugated_solve,
-                              make_cylinder_grid, s_a_apply, sobolev_norm)
+from beamlab.cylinder import (S_A_BLOCK_BYTES, S_A_PAD, EigenBasis,
+                              _add_x0_stencil, _fd_weights, apply_conjugated,
+                              conjugated_solve, make_cylinder_grid, s_a_apply)
 from beamlab.errors import NeumannDivergence, ResonantLambda, ZeroSymbol
 from beamlab.geometry import make_chart
 
@@ -152,13 +152,17 @@ class TestSA:
 
 class TestEigenBasis:
     def test_orthonormality(self, grid3):
+        # mode index -> exp(i omega . x') over the square root of the volume
         basis = EigenBasis(grid3)
         mesh = np.stack(np.meshgrid(*grid3.trans_axes, indexing="ij"), axis=-1)
         cell = np.prod([ax[1] - ax[0] for ax in grid3.trans_axes])
+        volume = np.prod(grid3.lengths)
+        psi = lambda index: (np.exp(1j * mesh @ basis.omega[index])
+                             / np.sqrt(volume))
         pairs = [((0, 0), (0, 0)), ((3, 0), (3, 0)), ((3, 0), (0, 2)),
                  ((5, 1), (5, 1)), ((5, 1), (4, 1))]
         for ia, ib in pairs:
-            ip = np.sum(basis.psi(ia, mesh) * np.conj(basis.psi(ib, mesh))) * cell
+            ip = np.sum(psi(ia) * np.conj(psi(ib))) * cell
             expect = 1.0 if ia == ib else 0.0
             assert ip == pytest.approx(expect, abs=1e-10)
 
@@ -230,7 +234,7 @@ class TestConjugatedSolve:
         R2, _ = conjugated_solve(3.5 * F, grid3, 30.0)
         assert np.max(np.abs(R2 - 3.5 * R1)) <= 1e-12 * np.max(np.abs(R2))
 
-    def test_decay_ladder(self, grid3):
+    def test_decay_ladder(self, grid3, sobolev_norms):
         basis = EigenBasis(grid3)
         X0, X1, X2 = grid3.mesh()
         bump = np.exp(-((X0 - 0.5) ** 2) / 0.05)
@@ -244,8 +248,9 @@ class TestConjugatedSolve:
             Fw = F * grid3.window[:, None, None]
             lams.append(lam)
             r0.append(rep.norm_ratio)
-            r1.append(sobolev_norm(R, grid3, 1) / sobolev_norm(Fw, grid3, 1))
-            r2.append(sobolev_norm(R, grid3, 2) / sobolev_norm(Fw, grid3, 2))
+            _, h1, h2 = sobolev_norms(R, grid3, 2) / sobolev_norms(Fw, grid3, 2)
+            r1.append(h1)
+            r2.append(h2)
         assert np.polyfit(np.log(lams), np.log(r0), 1)[0] == pytest.approx(-1.0, abs=0.15)
         assert np.polyfit(np.log(lams), np.log(r1), 1)[0] == pytest.approx(-1.0, abs=0.2)
         assert np.polyfit(np.log(lams), np.log(r2), 1)[0] == pytest.approx(-1.0, abs=0.2)
@@ -260,8 +265,9 @@ class TestConjugatedSolve:
         taxes = (1, 2)
         mu = EigenBasis(grid3).mu
         lap_t = np.fft.ifftn(-mu[None] * np.fft.fftn(R, axes=taxes), axes=taxes)
-        ref = (-(_fd_dx0(R, grid3.dx0, 2) + 2.0 * lam * _fd_dx0(R, grid3.dx0, 1)
-                 + lam ** 2 * R) - lap_t + V1 * R)
+        d1, d2 = (_add_x0_stencil(np.zeros_like(R), R, _fd_weights(grid3.dx0, k))
+                  for k in (1, 2))
+        ref = -(d2 + 2.0 * lam * d1 + lam ** 2 * R) - lap_t + V1 * R
         out = apply_conjugated(R, grid3, lam, V1_field=V1)
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 

@@ -6,16 +6,20 @@ an imported function must be a parameter of that function.  The benchmark's
 workloads are checked the same way, including calls made through an imported
 module (``recon.recover_vm(...)``), and every layer its tracer wraps must
 resolve in the package; the tracer is installed and uninstalled on the live
-package, and each workload's set-up runs.
+package, and each workload's set-up runs.  Every module's ``__all__`` must
+name only what the module defines.
 """
 
 import ast
 import importlib
 import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
+
+import beamlab
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -99,6 +103,16 @@ def test_benchmark_tracer_layers_resolve():
         if not callable(obj):
             missing.append(f"{name}: {modname}.{attr}")
     assert not missing, f"traced layers missing from the package: {missing}"
+
+
+def test_exported_names_resolve():
+    # a stale __all__ entry otherwise fails only on a star import
+    modules = [importlib.import_module(info.name) for info in
+               pkgutil.iter_modules(beamlab.__path__, "beamlab.")]
+    assert any(hasattr(mod, "__all__") for mod in modules)
+    stale = [f"{mod.__name__}.{name}" for mod in modules
+             for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not stale, f"__all__ entries missing from their modules: {stale}"
 
 
 def _layer(modname, attr):

@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_bvp
 
-from beamlab.errors import (DirichletEigenvalue, InvalidArgument,
-                            SmallDataViolated)
+from beamlab import pde
+from beamlab.errors import (ContractionFailure, DirichletEigenvalue,
+                            InvalidArgument, SmallDataViolated)
 from beamlab.geometry import make_chart
 from beamlab.pde import (Axis, ProductDomain, SchrodingerSolver, box_domain,
                          direct_hierarchy_solve, disk_cylinder_domain,
@@ -319,6 +320,22 @@ class TestSemilinear:
             solve_semilinear(s, V, lambda x0, xp: 2.0 + 0.0 * np.asarray(x0),
                              r0=0.5)
 
+    def test_contraction_failures(self, monkeypatch):
+        # at the largest small datum a strong quadratic term diverges; a
+        # weaker one contracts (factor 0.26) in 19 steps, so a cap of 18
+        # stops it short of the tolerance
+        dom = box_domain((1.0, 1.0), (17, 17))
+        s = SchrodingerSolver(dom)
+        f = lambda x0, xp: 0.5 + 0.0 * np.asarray(x0)
+        strong = PotentialSeries({2: make_field("constant", value=100.0)})
+        with pytest.raises(ContractionFailure, match="diverge"):
+            solve_semilinear(s, strong, f)
+        weak = PotentialSeries({2: make_field("constant", value=10.0)})
+        assert solve_semilinear(s, weak, f)[1]["iterations"] == 19
+        monkeypatch.setattr(pde, "PICARD_MAXIT", 18)
+        with pytest.raises(ContractionFailure, match="did not reach"):
+            solve_semilinear(s, weak, f)
+
     def test_quadratic_1d_vs_bvp_oracle(self):
         # -u'' + u^2 = 0 on [0,1] with small boundary values
         dom = interval_domain(1.0, 16001)
@@ -382,10 +399,9 @@ class TestDNMap:
         fb = lambda x0, xp: 0.2 * np.where(
             np.isclose(np.asarray(xp)[..., 0], 0.0),
             np.sin(2 * np.pi * np.asarray(x0)), 0.0)
-        _, ra = dn_map(s, V_NONE.replace(1, make_field("constant", value=0.3)),
-                       fa, r0=2.0)
-        _, rb = dn_map(s, V_NONE.replace(1, make_field("constant", value=0.3)),
-                       fb, r0=2.0)
+        V = PotentialSeries({1: make_field("constant", value=0.3)})
+        _, ra = dn_map(s, V, fa, r0=2.0)
+        _, rb = dn_map(s, V, fb, r0=2.0)
         pair_ab, pair_ba = 0.0, 0.0
         for qa, qb in zip(ra, rb):
             x0f, xpf = s.domain.face_points(

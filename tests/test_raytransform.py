@@ -324,7 +324,7 @@ class TestInvertJ1Moments:
         X, Z = real_pair(K, "entry")
         f = GeodesicSample.from_time_function(p, profile)
         fam = lambda e: epsilon_family(K, e, anchor="entry", pair=(X, Z))
-        orc = lambda e: j1_forward(f, fam(e), window=(p.tau_minus, p.tau_plus))
+        orc = lambda e: j1_forward(f, fam(e))
         return p, X, Z, orc
 
     def test_zero(self):
@@ -363,7 +363,7 @@ class TestInvertJ1Moments:
         X, Z = real_pair(K, "entry")
         f = GeodesicSample.from_time_function(p, lambda t: 1.0 / (1.0 + t * t))
         fam = lambda e: epsilon_family(K, e, anchor="entry", pair=(X, Z))
-        orc = lambda e: j1_forward(f, fam(e), window=(p.tau_minus, p.tau_plus))
+        orc = lambda e: j1_forward(f, fam(e))
         rec, _ = invert_j1_moments(orc, X, Z, (p.tau_minus, p.tau_plus), K_max=8)
         truth = 1.0 / (1.0 + rec.t ** 2)
         rel = np.linalg.norm(rec.values - truth) / np.linalg.norm(truth)
@@ -406,7 +406,7 @@ class TestInvertJ1Moments:
 
         def stacked(e):
             Y = epsilon_family(K, e, anchor="entry", pair=(X, Z))
-            data[e] = np.array([j1_forward(f, Y, window=window) for f in fs])
+            data[e] = np.array([j1_forward(f, Y) for f in fs])
             return data[e]
 
         rec, diag = invert_j1_moments(stacked, X, Z, window, K_max=8)

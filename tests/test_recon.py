@@ -14,8 +14,7 @@ from beamlab.potentials import PotentialSeries, make_field
 from beamlab.recon import (ReconTask, dn_moment_v2, dn_moment_v3,
                            fourier_synthesis, full_dn_moment_v3,
                            lambda_extrapolate, prepare_bundle, recover_v2,
-                           recover_vm, sensitivity_report,
-                           stationary_phase_oracle, tube_interaction,
+                           recover_vm, stationary_phase_oracle, tube_interaction,
                            _calibration, _simpson_weights)
 
 
@@ -514,7 +513,7 @@ class TestBoundaryRoute:
         V2fn = make_field("trig_gaussian", amp=0.8, freq=2.0, c0=1.0,
                           width=0.5, support=0.9)
         task = ReconTask(**{**task.__dict__,
-                            "V": task.V.replace(2, V2fn)})
+                            "V": PotentialSeries({**task.V.coeffs, 2: V2fn})})
         bundle = prepare_bundle(task, anchor="point")
         with pytest.raises(ModeMismatch, match="disk grid.*2 lambda"):
             full_dn_moment_v3(task, bundle, 0.2, 0.25, 30.0,
@@ -621,14 +620,18 @@ class TestBoundaryRoute:
         V2fn = make_field("trig_gaussian", amp=0.8, freq=2.0, c0=1.0,
                           width=0.5, support=0.9)
         task = ReconTask(**{**task.__dict__,
-                            "V": task.V.replace(2, V2fn)})
+                            "V": PotentialSeries({**task.V.coeffs, 2: V2fn})})
         bundle = prepare_bundle(task, anchor="point")
-        rep = sensitivity_report(task, bundle, 0.2, 0.25, 20.0,
-                                 corruption=0.10, nx0=36, nr=24, nphi=24,
-                                 grid=make_cylinder_grid(task.chart, nx0=96,
-                                                         ntrans=128))
-        # the driver surfaces the shift instead of absorbing it; the size is
-        # a frozen regression value (companion term is sub-percent here)
-        assert rep["relative_shift"] > 1e-4
-        assert 5e-4 <= rep["relative_shift"] <= 3e-3
-        assert rep["corruption"] == 0.10
+        grid_kw = dict(nx0=36, nr=24, nphi=24,
+                       grid=make_cylinder_grid(task.chart, nx0=96, ntrans=128))
+        base, _ = full_dn_moment_v3(task, bundle, 0.2, 0.25, 20.0, **grid_kw)
+        # the same pairing with the known quadratic coefficient 10% off
+        bad_V = PotentialSeries({**task.V.coeffs,
+                                 2: lambda x0, xp: 1.1 * V2fn(x0, xp)})
+        bad, _ = full_dn_moment_v3(ReconTask(**{**task.__dict__, "V": bad_V}),
+                                   bundle, 0.2, 0.25, 20.0, **grid_kw)
+        relative_shift = abs(bad - base) / abs(base)
+        # the datum moves with the corruption instead of absorbing it; the
+        # size is a frozen regression value (companion term is sub-percent)
+        assert relative_shift > 1e-4
+        assert 5e-4 <= relative_shift <= 3e-3
