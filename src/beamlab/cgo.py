@@ -769,7 +769,8 @@ class CgoSolution:
     ``field`` is U = Q + R with the growth factor removed: Q the beam,
     tapered along its axis, and R the remainder from the right inverse.
     ``report`` is the solve's ``SolveReport`` and ``pde_residual`` the
-    relative residual of the conjugated equation for U over the chart.
+    relative residual of the conjugated equation for U over the chart, the
+    one residual the package measures (it sees the beam as well as R).
     Calling the solution evaluates U at chart points ``(x0, x')`` by linear
     interpolation, 0 off the grid.
     """
@@ -793,12 +794,14 @@ class CgoSolution:
 def _axis_taper(path, phase, t):
     """Smooth in the axis coordinate: 1 over the chart, 0 before the traced
     window ends.  Keeps the gridded beam smooth on the torus without touching
-    its values over the manifold."""
+    its values over the manifold.  It measures the axis coordinate from the
+    chart centre's projection onto the axis, ``t = -gamma(0).gamma'(0)``."""
+    c = path.point(0.0) @ path.velocity(0.0)
     lo = path.chart.radius + 0.02
-    hi = min(phase.y1[-1], -phase.y1[0]) - 0.02
+    hi = min(phase.y1[-1] + c, -(phase.y1[0] + c)) - 0.02
     if hi <= lo:
         return np.ones_like(t)
-    s = 0.5 * (1.0 + np.clip((np.abs(t) - lo) / (hi - lo), 0.0, None))
+    s = 0.5 * (1.0 + np.clip((np.abs(t + c) - lo) / (hi - lo), 0.0, None))
     return smooth_cutoff(s)
 
 
@@ -833,7 +836,7 @@ def assemble_cgo(path, phase, amp, lam, sigma, grid, signs=(+1, -1)):
     ypp = diff @ path.frame_at(0.0)
     r = np.sqrt(np.sum(XP ** 2, axis=-1))
     collar = _collar(chart, r)
-    tube = (np.abs(t) <= phase.y1[-1] - 1e-9) \
+    tube = (t >= phase.y1[0] + 1e-9) & (t <= phase.y1[-1] - 1e-9) \
         & (np.sum(ypp ** 2, axis=-1) <= amp.delta ** 2)
     iq = np.where(tube)
     idx = np.where(tube & (collar > 0))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from beamlab.cylinder import EigenBasis, _add_x0_stencil, _fd_weights
+from beamlab.cylinder import (EigenBasis, _add_x0_stencil, _fd_weights,
+                              apply_conjugated)
 
 
 def _sobolev_norms(u, grid, k):
@@ -36,3 +37,20 @@ def _sobolev_norms(u, grid, k):
 @pytest.fixture(scope="session")
 def sobolev_norms():
     return _sobolev_norms
+
+
+def _solve_residual(R, F, grid, lam, V1_field=None):
+    """Relative residual of a cylinder solve R of source F: the norm of
+    ``apply_conjugated(R) - F window`` over that of ``F window``, on the
+    physical rows less the three end rows of the grid on each side (where
+    the x0 stencil does not reach)."""
+    Fw = F * grid.window.reshape((-1,) + (1,) * (F.ndim - 1))
+    inner = grid.physical_mask()
+    inner[:3] = inner[-3:] = False
+    res = apply_conjugated(R, grid, lam, V1_field) - Fw
+    return np.linalg.norm(res[inner]) / np.linalg.norm(Fw[inner])
+
+
+@pytest.fixture(scope="session")
+def solve_residual():
+    return _solve_residual

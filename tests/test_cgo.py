@@ -467,7 +467,9 @@ def small_assembly():
 
 
 class TestAssembly:
-    def test_remainder_and_pde_residual(self):
+    def test_remainder_and_pde_residual(self, monkeypatch, solve_residual):
+        import beamlab.cgo as cgo
+
         # generous trace margin so the axis taper stays spectrally gentle
         ch = make_chart("flat_disk", n=3, params={"tube_radius": 1.0,
                                                   "margin": 0.3})
@@ -477,8 +479,18 @@ class TestAssembly:
         ph = build_phase(p, Y, N=2, ny1=401)
         amp = build_amplitude(p, ph, Y, N_amp=1)
         grid = make_cylinder_grid(ch, nx0=96, ntrans=192)
+        # the source and lambda handed to the right inverse, recorded
+        solves, solve = [], cgo.conjugated_solve
+
+        def recording(F, grid, lam, V1_field=None):
+            solves.append((F, lam))
+            return solve(F, grid, lam, V1_field)
+
+        monkeypatch.setattr(cgo, "conjugated_solve", recording)
         (sol,) = assemble_cgo(p, ph, amp, 40.0, 1.0, grid, signs=(+1,))
-        assert sol.report.residual_l2 <= 1e-3
+        ((F, lam),) = solves
+        assert lam == 40.0
+        assert solve_residual(sol.remainder, F, grid, lam) <= 1e-3
         assert sol.pde_residual <= 2e-3
         # remainder much smaller than the beam on the physical window
         mask = grid.physical_mask()
@@ -537,6 +549,46 @@ class TestAssembly:
             assert sol.pde_residual == ref.pde_residual
         # the two signs are different solutions
         assert not np.array_equal(pair[0].field, pair[1].field)
+
+    def test_one_operator_pass_per_sign(self, small_assembly, monkeypatch):
+        # the solve does not re-apply the operator; only the PDE residual
+        # of U does, once per sign
+        import beamlab.cgo as cgo
+        import beamlab.cylinder as cylinder
+
+        calls = []
+
+        def counting(apply):
+            def wrapper(*args, **kwargs):
+                calls.append(args[2])
+                return apply(*args, **kwargs)
+            return wrapper
+
+        for module in (cylinder, cgo):
+            monkeypatch.setattr(module, "apply_conjugated",
+                                counting(module.apply_conjugated))
+        p, ph, amp, grid = small_assembly
+        assemble_cgo(p, ph, amp, 20.0, 1.0, grid, signs=(+1, -1))
+        assert calls == [20.0, -20.0]
+
+    def test_off_centre_anchor_keeps_its_beam(self):
+        # the axis coordinate of an off-centre anchor is not centred on the
+        # chart; the tube and the axis taper must still cover all of it
+        ch = make_chart("flat_disk", n=3, interval=(0.0, 0.25),
+                        params={"tube_radius": 0.7, "margin": 0.3})
+        grid = make_cylinder_grid(ch, nx0=48, ntrans=80)
+        res = {}
+        for anchor in ((0.0, 0.0), (0.3, 0.0), (-0.2, 0.0)):
+            p = trace_geodesic(ch, anchor, [1.0, 0.0])
+            K = curvature_along(p)
+            Y = solve_jacobi(K, 0.0, [[1.0]], [[1j]], require_admissible=True)
+            ph = build_phase(p, Y, N=2)
+            amp = build_amplitude(p, ph, Y, N_amp=1, delta=0.7)
+            (sol,) = assemble_cgo(p, ph, amp, 20.0, 0.25, grid, signs=(+1,))
+            res[anchor] = sol.pde_residual
+        centred = res.pop((0.0, 0.0))
+        for anchor, value in res.items():
+            assert value <= 2.0 * centred, anchor
 
     def test_curved_assembly_rejected(self):
         ch = make_chart("sphere_cap", n=3, params={"cap_radius": 1.1})

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from beamlab.cylinder import (S_A_BLOCK_BYTES, S_A_PAD, EigenBasis,
-                              _add_x0_stencil, _fd_weights, apply_conjugated,
-                              conjugated_solve, make_cylinder_grid, s_a_apply)
+from beamlab.cylinder import (ENERGY_CUT, S_A_BLOCK_BYTES, S_A_PAD,
+                              EigenBasis, _add_x0_stencil, _fd_weights,
+                              apply_conjugated, conjugated_solve,
+                              make_cylinder_grid, s_a_apply)
 from beamlab.errors import NeumannDivergence, ResonantLambda, ZeroSymbol
 from beamlab.geometry import make_chart
 
@@ -220,12 +221,28 @@ class TestConjugatedSolve:
             err = np.max(np.abs(Rhat[line] - ref))
             assert err <= 1e-12 * np.max(np.abs(ref))
 
-    def test_residual_small(self, grid3):
+    def test_residual_small(self, grid3, solve_residual):
         X0, X1, X2 = grid3.mesh()
         F = (np.exp(-((X0 - 0.5) ** 2) / 0.06)
              * np.exp(-(X1 ** 2 + X2 ** 2) / 0.3) * np.exp(1j * 3.0 * X1))
         R, rep = conjugated_solve(F, grid3, 40.0)
-        assert rep.residual_l2 <= 1e-4
+        assert solve_residual(R, F, grid3, 40.0) <= 1e-4
+
+    def test_energy_cut_drops_exactly_the_lowest_modes(self, grid3):
+        # a narrow source symmetric under the torus' reflections: its mode
+        # energies tie in groups, one of them at the cut
+        X0, X1, X2 = grid3.mesh()
+        F = np.exp(-(X0 - 0.5) ** 2 / 0.06 - (X1 ** 2 + X2 ** 2) / 0.01)
+        R, rep = conjugated_solve(F, grid3, 40.0)
+        energy = np.sum(np.abs(np.fft.fftn(F * grid3.window[:, None, None],
+                                           axes=(1, 2))) ** 2, axis=0)
+        low = np.sort(energy.ravel())
+        cut = int(np.searchsorted(np.cumsum(low), ENERGY_CUT * energy.sum()))
+        assert low[cut] == low[cut - 1]
+        assert rep.modes == energy.size - cut
+        assert rep.discarded_energy < ENERGY_CUT
+        assert rep.discarded_energy == pytest.approx(
+            low[:cut].sum() / energy.sum(), rel=1e-12)
 
     def test_linearity(self, grid3):
         X0, X1, X2 = grid3.mesh()
@@ -282,12 +299,12 @@ class TestConjugatedSolve:
         with pytest.raises(ResonantLambda):
             conjugated_solve(F, grid3, lam)
 
-    def test_potential_loop(self, grid3):
+    def test_potential_loop(self, grid3, solve_residual):
         X0, X1, X2 = grid3.mesh()
         V1 = 0.8 * np.exp(-((X0 - 0.5) ** 2 + X1 ** 2 + X2 ** 2) / 0.3)
         F = np.exp(-((X0 - 0.5) ** 2) / 0.06) * np.exp(-(X1 ** 2 + X2 ** 2) / 0.3)
         R, rep = conjugated_solve(F, grid3, 30.0, V1_field=V1)
-        assert rep.residual_l2 <= 1e-4
+        assert solve_residual(R, F, grid3, 30.0, V1) <= 1e-4
         assert rep.iterations >= 1
 
     def test_potential_divergence_guard(self, grid3):
@@ -298,7 +315,7 @@ class TestConjugatedSolve:
         with pytest.raises(NeumannDivergence):
             conjugated_solve(F, grid3, 12.0, V1_field=V1)
 
-    def test_n4_smoke(self):
+    def test_n4_smoke(self, solve_residual):
         ch = make_chart("flat_disk", n=4)
         grid = make_cylinder_grid(ch, nx0=48, ntrans=24)
         mesh = grid.mesh()
@@ -306,4 +323,4 @@ class TestConjugatedSolve:
         r2 = sum(m ** 2 for m in mesh[1:])
         F = np.exp(-((X0 - 0.5) ** 2) / 0.06) * np.exp(-r2 / 0.3)
         R, rep = conjugated_solve(F, grid, 25.0)
-        assert rep.residual_l2 <= 1e-4
+        assert solve_residual(R, F, grid, 25.0) <= 1e-4
