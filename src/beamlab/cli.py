@@ -54,15 +54,16 @@ def validate_config(cfg):
 
 def _traced_path(cfg, chart):
     """The geodesic of the config's ``geodesic`` block: start ``x``,
-    direction ``theta`` (unit in the metric), step ``h`` and ``margin``."""
+    direction ``theta`` (unit in the metric) and ``margin``, and the step
+    ``h`` if the block gives one (else ``trace_geodesic``'s default)."""
     block = cfg.get("geodesic", {})
     d = chart.trans_dim
     x = np.asarray(block.get("x", [0.0] * d), dtype=float)
     theta = np.asarray(block.get("theta", [1.0] + [0.0] * (d - 1)),
                        dtype=float)
     theta = theta / chart.metric.norm(x, theta)
-    return trace_geodesic(chart, x, theta, h=float(block.get("h", 1e-3)),
-                          margin=block.get("margin"))
+    step = {"h": block["h"]} if "h" in block else {}
+    return trace_geodesic(chart, x, theta, margin=block.get("margin"), **step)
 
 
 def _field_on_path(cfg, path, where):

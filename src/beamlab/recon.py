@@ -84,7 +84,7 @@ class BeamBundle:
         theta = (np.eye(d)[0] if theta is None
                  else np.asarray(theta, dtype=float))
         theta = theta / chart.metric.norm(point, theta)
-        path = trace_geodesic(chart, point, theta, h=2e-3, margin=margin)
+        path = trace_geodesic(chart, point, theta, margin=margin)
         K = curvature_along(path)
         pair = real_pair(K, anchor)
         return cls(chart=chart, path=path, K=K, pair=pair, anchor=anchor)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from beamlab.cli import main, run_task, validate_config
 from beamlab.errors import ConfigInvalid
+from beamlab.geometry import trace_geodesic
 
 
 def base_config():
@@ -71,6 +73,24 @@ class TestTasks:
         data = np.loadtxt(out / "geodesic.csv", delimiter=",", skiprows=1)
         assert data.shape[1] == 5
         assert (out / "manifest.json").exists()
+
+    def test_geodesic_step(self, tmp_path):
+        # without "h" the trace takes the library's default step; with one
+        # it takes that step, and an invalid one is named
+        default = inspect.signature(trace_geodesic).parameters["h"].default
+        cfg = base_config()
+        for step, expect in ((None, default), (5e-3, 5e-3)):
+            if step is not None:
+                cfg["geodesic"]["h"] = step
+            run_task("geodesic", cfg, str(tmp_path / "run"))
+            data = np.loadtxt(tmp_path / "run" / "geodesic.csv",
+                              delimiter=",", skiprows=1)
+            assert np.allclose(np.diff(data[:, 0]), expect, rtol=0,
+                               atol=1e-11)
+        cfg["geodesic"]["h"] = 0.0
+        with pytest.raises(ConfigInvalid) as err:
+            run_task("geodesic", cfg, str(tmp_path / "bad"))
+        assert err.value.field == "geodesic.h"
 
     def test_manifest_only(self, tmp_path):
         out = tmp_path / "m"

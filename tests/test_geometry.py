@@ -3,8 +3,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from beamlab import geometry
-from beamlab.errors import NonUnitSpeed, OutsideTube, TrappedGeodesic
-from beamlab.geometry import FermiChart, _conn, make_chart, trace_geodesic
+from beamlab.errors import (ConfigInvalid, NonUnitSpeed, OutsideTube,
+                            TrappedGeodesic)
+from beamlab.geometry import (FermiChart, _conn, _geodesic_rhs,
+                              _variation_rhs, make_chart, trace_geodesic)
 
 
 def christoffel(metric, x):
@@ -76,6 +78,52 @@ class TestConnection:
                            for j, uc in enumerate(u.T)], axis=1) / (2 * h)
         got = _conn(m.hess_phi(x) @ u, v, w)
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9)
+
+
+def geodesic_rhs_conn_form(metric):
+    """``_geodesic_rhs`` written with one ``_conn`` call (three reductions)."""
+    def f(_, y):
+        y, = y
+        v = y[..., 1:2]
+        rate = -_conn(metric.grad_phi(y[..., 0])[..., None], v, y[..., 1:])
+        return (np.concatenate([v, rate], axis=-1),)
+    return f
+
+
+def variation_rhs_conn_form(metric):
+    """``_variation_rhs`` written with two ``_conn`` calls (six reductions)."""
+    def f(_, y):
+        x, v, J, Jd = y
+        vc = v[..., None]
+        rate = _conn(metric.grad_phi(x)[..., None], vc,
+                     np.concatenate([vc, Jd], axis=-1))
+        Jacc = -_conn(metric.hess_phi(x) @ J, vc, vc) - 2.0 * rate[..., 1:]
+        return v, -rate[..., 0], Jd, Jacc
+    return f
+
+
+class TestRightHandSides:
+    # the shared reductions sum the same products in the same order as the
+    # _conn form, so the right-hand sides must agree bit for bit
+    @pytest.mark.parametrize("batch", [(), (7,), (5, 3)])
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind,params", CHARTS[1:])
+    def test_shared_reductions_bitwise(self, kind, params, n, batch):
+        rng = np.random.default_rng(11)
+        m = make_chart(kind, n=n, params=params).metric
+        d = m.dim
+        x = 0.4 * rng.standard_normal(batch + (d,))
+        y = np.concatenate([x[..., None],
+                            rng.standard_normal(batch + (d, d))], axis=-1)
+        for got, ref in zip(_geodesic_rhs(m)(0.0, (y,)),
+                            geodesic_rhs_conn_form(m)(0.0, (y,))):
+            assert np.array_equal(got, ref)
+        state = (x, rng.standard_normal(batch + (d,)),
+                 rng.standard_normal(batch + (d, d)),
+                 rng.standard_normal(batch + (d, d)))
+        for got, ref in zip(_variation_rhs(m)(0.0, state),
+                            variation_rhs_conn_form(m)(0.0, state)):
+            assert np.array_equal(got, ref)
 
 
 class TestTraceGeodesic:
@@ -196,6 +244,35 @@ class TestTraceGeodesic:
                             0.5 * (p.tau_plus - p.tau_minus))
         with pytest.raises(TrappedGeodesic):
             trace_geodesic(ch, x, th)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_default_step_through_pole(self, n):
+        # on the K = 1 cap a geodesic through the pole along an axis is
+        # x1 = tan(sqrt(K) t / 2) / sqrt(K) and leaves the chart disk of
+        # radius R at t = 2 arctan(sqrt(K) R) / sqrt(K)
+        K = 1.0
+        ch = make_chart("sphere_cap", n=n, params={"curvature": K})
+        d = n - 1
+        x = np.zeros(d)
+        th = np.eye(d)[0] / ch.metric.norm(x, np.eye(d)[0])
+        p = trace_geodesic(ch, x, th)
+        sk = np.sqrt(K)
+        exact = np.zeros_like(p.x)
+        exact[:, 0] = np.tan(sk * p.t / 2) / sk
+        assert np.max(np.abs(p.x - exact)) <= 1e-12
+        tau = 2 * np.arctan(sk * ch.radius) / sk
+        assert abs(p.tau_plus - tau) <= 1e-12
+        assert abs(p.tau_minus + tau) <= 1e-12
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+    @pytest.mark.parametrize("kind,params", CHARTS[:2])
+    def test_invalid_step_raises(self, kind, params, h):
+        ch = make_chart(kind, n=3, params=params)
+        x = np.zeros(2)
+        th = np.array([1.0, 0.0]) / ch.metric.norm(x, [1.0, 0.0])
+        with pytest.raises(ConfigInvalid) as err:
+            trace_geodesic(ch, x, th, h=h)
+        assert err.value.field == "geodesic.h"
 
     def test_n4_ball(self):
         ch = make_chart("flat_disk", n=4)
